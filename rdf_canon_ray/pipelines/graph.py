@@ -315,7 +315,7 @@ def _conv_pairs_expanded(
     hit = _PAIRS_CACHE.get(key)
     if hit is not None:
         return hit
-    ments = _link_batches(sf_dir, None, "mentions")
+    ments = _link_batches(sf_dir, None, "_mention_rows_arrow")
 
     projected = ments.map_batches(
         _encode_mentions, batch_format="pyarrow", batch_size=32768
@@ -742,8 +742,9 @@ def _dense_scatter(n: int, init: float, col: str, *blocks) -> np.ndarray:
     vec = np.full(int(n), init, np.float64)
     for b in blocks:
         if isinstance(b, pa.Table):
-            # read only the two needed columns zero-copy; to_pandas()
-            # would copy the whole block once per block per iteration
+            # column-selective: converts only the two needed columns,
+            # where to_pandas() would convert the whole block once per
+            # block per iteration
             codes = b.column("code").to_numpy().astype(np.int64)
             vals = b.column(col).to_numpy().astype(np.float64)
         else:
@@ -1531,7 +1532,7 @@ def comention_pmi(
     pmi rounded 6dp)."""
     from ..stages.shuffle import distinct as distinct_x
 
-    ments = _link_batches(sf_dir, None, "mentions")
+    ments = _link_batches(sf_dir, None, "_mention_rows_arrow")
 
     def project(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(

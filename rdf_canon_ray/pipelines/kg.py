@@ -3,11 +3,14 @@
 Ray-Data-first lifecycle (SURVEY.md §3.4):
 
     read_parquet(transcripts)                 # or build_transcripts (map-only)
-    → map_batches(MentionExtractor)           # actor pool, compiled regexes
-    → map_batches(EntityLinker)               # actor pool, broadcast dicts
-    → [triples view]  (map-only)              # SQL-oracle-checkable
-    → groupby(graph_id).map_groups(canonicalize)   # THE shuffle
+    → map_batches(extract_mentions_arrow)     # stateless tasks, RE2
+    → [triples / links view]  (map-only)      # SQL-oracle-checkable
+    → bucketed exchange on conv_id            # THE shuffle
+    → canonicalize_bucket                     # link + RDFC-1.0 per bucket
     → write_parquet sinks (partitioned, resumable)
+
+The partitioned, store-build and incremental paths run the same
+extraction and bucket kernel map-only, one task per conv-bucket file.
 
 Cross-partition entity canonicalization: entity IRIs are already
 corpus-canonical (linking resolves surfaces to keys), so the cross-graph
@@ -25,17 +28,19 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from ..stages.canonicalize import canonicalize_graphs
+from ..stages.canonicalize import (
+    _GRAPH_SCHEMA,
+    _cached_linker,
+    canonicalize_bucket,
+    canonicalize_graphs,
+)
 from ..transcripts.extract import (
-    EntityLinker,
-    MentionExtractor,
+    _EXTRACT_COLS,
     build_link_maps,
-    extract_mentions_batch,
+    extract_mentions_arrow,
 )
 from ..transcripts.gen import build_transcripts, transcripts_parquet
-from ..util import default_buckets, default_pool
-
-_EXTRACT_KW = dict(batch_format="pandas", batch_size=8192)
+from ..util import default_buckets
 
 # Driver-side serial floor: the dimension-table reads behind
 # build_link_maps and the ray.put of the result are identical across
@@ -52,7 +57,7 @@ def _link_maps_ref(sf_dir: str):
 
 
 # Entity-linker dimension gate: below it, the dimension tables ship as
-# broadcast dicts (build_link_maps — one driver read + ray.put); above
+# broadcast lookup arrays (build_link_maps — one driver read + ray.put); above
 # it (or force_partitioned_linker=True), mention surfaces resolve via
 # co-partitioned hash joins instead (resolve_mentions_partitioned) and
 # NO node-scale dictionary ever lands on the driver.  The check is
@@ -74,14 +79,12 @@ _EMPTY_MAPS_REF: dict = {}
 
 def _empty_maps_ref():
     """Broadcast ref of EMPTY link maps for the partitioned-linker path:
-    emitters read the pre-resolved key columns, so the dicts are never
-    consulted — but the bucket kernel's linker cache still wants a
-    ref-keyed maps object."""
+    the resolver reads the pre-resolved key columns, so the maps are
+    never consulted — but the linker cache still wants a ref-keyed maps
+    object."""
     ref = _EMPTY_MAPS_REF.get("ref")
     if ref is None:
-        ref = _EMPTY_MAPS_REF["ref"] = ray.put(
-            {"cust": {}, "part": {}, "part_count": {}, "supp": {}}
-        )
+        ref = _EMPTY_MAPS_REF["ref"] = ray.put({})
     return ref
 
 
@@ -98,9 +101,6 @@ def transcripts_dataset(sf_dir: str, materialized: bool = True) -> rd.Dataset:
     return build_transcripts(sf_dir)
 
 
-_EXTRACT_COLS = ["conv_id", "turn_idx", "role", "text"]
-
-
 def mentions_dataset(sf_dir: str, transcripts: Optional[rd.Dataset] = None) -> rd.Dataset:
     if transcripts is None:
         # prune at the read: extraction needs 4 of the 6 transcript
@@ -113,49 +113,33 @@ def mentions_dataset(sf_dir: str, transcripts: Optional[rd.Dataset] = None) -> r
     # Stateless tasks (not an actor pool): tasks scale to every free core
     # immediately — an autoscaling pool ramps too slowly for a
     # seconds-long stage. Arrow-native RE2 extraction; zero-copy input.
-    from ..transcripts.extract import extract_mentions_arrow
-
     return ds.map_batches(
         extract_mentions_arrow, batch_format="pyarrow", batch_size=8192
     )
 
 
-def _link_batches(sf_dir: str, transcripts, output: str) -> rd.Dataset:
-    """Stateless link stage: broadcast maps deserialized once per
-    worker process via the linker cache, tasks scale instantly.
+def _link_batches(
+    sf_dir: str, transcripts, emitter: str, partitioned: bool = False
+) -> rd.Dataset:
+    """Stateless link stage running one of the linker's Arrow emitters
+    (``_triples_arrow``/``_mention_rows_arrow``/``_links_arrow``):
+    extraction emits Arrow, linking stays Arrow (C++ ``index_in``
+    lookups), and the exchange prepare is zero-copy.  The linker is
+    built once per worker process via the linker cache, tasks scale
+    instantly.  ``partitioned`` resolves the surfaces with
+    co-partitioned hash joins first, and the emitter reads the
+    pre-resolved key columns instead of broadcast maps."""
+    if partitioned:
+        maps_ref = _empty_maps_ref()
+        mentions = _resolved_mentions(sf_dir, transcripts)
+    else:
+        maps_ref = _link_maps_ref(sf_dir)
+        mentions = mentions_dataset(sf_dir, transcripts)
 
-    The pre-shuffle link outputs (triples/mentions/links) use the
-    linker's Arrow twins — extraction emits Arrow, linking stays Arrow
-    (C++ ``index_in`` lookups), and the exchange prepare is zero-copy,
-    so no pandas object boxing touches the hot path.  Only the quads
-    output (consumed post-shuffle by the numpy kernel) stays pandas."""
-    from ..stages.canonicalize import _cached_linker
+    def emit(batch):
+        return getattr(_cached_linker(maps_ref), emitter)(batch)
 
-    maps_ref = _link_maps_ref(sf_dir)
-
-    if output in ("triples", "mentions", "links"):
-
-        def link_arrow(batch):
-            linker = _cached_linker(maps_ref)
-            if output == "triples":
-                return linker._triples_arrow(batch)
-            if output == "mentions":
-                return linker._mention_rows_arrow(batch)
-            return linker._links_arrow(batch)
-
-        return mentions_dataset(sf_dir, transcripts).map_batches(
-            link_arrow, batch_format="pyarrow", batch_size=8192
-        )
-
-    def link(batch):
-        linker = _cached_linker(maps_ref)
-        return linker._quads(batch)
-
-    return mentions_dataset(sf_dir, transcripts).map_batches(link, **_EXTRACT_KW)
-
-
-def quads_dataset(sf_dir: str, transcripts: Optional[rd.Dataset] = None) -> rd.Dataset:
-    return _link_batches(sf_dir, transcripts, "quads")
+    return mentions.map_batches(emit, batch_format="pyarrow", batch_size=8192)
 
 
 def _resolved_mentions(sf_dir: str, transcripts) -> rd.Dataset:
@@ -166,29 +150,15 @@ def _resolved_mentions(sf_dir: str, transcripts) -> rd.Dataset:
     )
 
 
-def _link_resolved(sf_dir: str, transcripts, emitter: str) -> rd.Dataset:
-    """Partitioned-linker variant of ``_link_batches``: mentions carry
-    pre-resolved key columns (hash joins), the emitters run dict-free."""
-    from ..stages.canonicalize import _cached_linker
-
-    maps_ref = _empty_maps_ref()
-    resolved = _resolved_mentions(sf_dir, transcripts)
-
-    def emit(batch):
-        linker = _cached_linker(maps_ref)
-        return getattr(linker, emitter)(batch)
-
-    return resolved.map_batches(emit, batch_format="pandas", batch_size=8192)
-
-
 def links_dataset(
     sf_dir: str,
     transcripts: Optional[rd.Dataset] = None,
     force_partitioned_linker: bool = False,
 ) -> rd.Dataset:
-    if _use_partitioned_linker(sf_dir, force_partitioned_linker):
-        return _link_resolved(sf_dir, transcripts, "_links")
-    return _link_batches(sf_dir, transcripts, "links")
+    return _link_batches(
+        sf_dir, transcripts, "_links_arrow",
+        _use_partitioned_linker(sf_dir, force_partitioned_linker),
+    )
 
 
 def triples_dataset(
@@ -202,10 +172,10 @@ def triples_dataset(
     combiner, and a bucketed shuffle finishes the global DISTINCT."""
     from ..stages.shuffle import distinct
 
-    if _use_partitioned_linker(sf_dir, force_partitioned_linker):
-        projected = _link_resolved(sf_dir, transcripts, "_triples")
-    else:
-        projected = _link_batches(sf_dir, transcripts, "triples")
+    projected = _link_batches(
+        sf_dir, transcripts, "_triples_arrow",
+        _use_partitioned_linker(sf_dir, force_partitioned_linker),
+    )
     return distinct(projected, ["conv_id", "subj", "pred", "obj"])
 
 
@@ -459,44 +429,42 @@ def transcripts_parquet_partitioned(
 def _canonicalize_part_files(
     maps_ref, hash_name: str, hndq_call_limit: Optional[int]
 ):
-    """Batch fn: conv-bucket part file path → canonical graph rows
-    (extract → link → RDFC-1.0, all inside the task — the map-only
-    flagship kernel shared by the partitioned, store-build and
+    """Batch fn: conv-bucket part file paths → canonical graph rows
+    (extract → ``canonicalize_bucket``, all inside the task — the
+    map-only flagship shared by the partitioned, store-build and
     incremental paths)."""
-    import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from ..stages.canonicalize import (
-        _GRAPH_COLS,
-        _GRAPH_SCHEMA,
-        _cached_linker,
-        canonicalize_one,
-        iter_graph_tuples,
-    )
-    from ..transcripts.extract import extract_mentions_batch
-
     def process(batch: pd.DataFrame) -> pa.Table:
-        rows = []
-        linker = _cached_linker(maps_ref)
-        for path in batch["path"]:
-            df = pq.read_table(path).to_pandas()
-            mentions = extract_mentions_batch(df)
-            quads = linker(mentions)
-            rows.extend(
-                canonicalize_one(
-                    gid, tuples, hash_name, hndq_call_limit, structure=True
+        return pa.concat_tables(
+            [
+                canonicalize_bucket(
+                    extract_mentions_arrow(
+                        pq.read_table(path, columns=_EXTRACT_COLS)
+                    ).to_pandas(),
+                    maps_ref,
+                    hash_name,
+                    hndq_call_limit,
                 )
-                for gid, tuples in iter_graph_tuples(quads)
-            )
-        # Arrow block out (explicit schema): canonical docs ship
-        # zero-copy, same rationale as canonicalize_mentions
-        return pa.table(
-            {c: [r[c] for r in rows] for c in _GRAPH_COLS},
-            schema=_GRAPH_SCHEMA,
+                for path in batch["path"]
+            ]
+            or [_GRAPH_SCHEMA.empty_table()]
         )
 
     return process
+
+
+def _part_files_dataset(
+    sf_dir: str, paths, hash_name: str, hndq_call_limit: Optional[int]
+) -> rd.Dataset:
+    """Canonical graphs of conv-bucket part files: one map task per file,
+    in ``paths`` order."""
+    process = _canonicalize_part_files(
+        _link_maps_ref(sf_dir), hash_name, hndq_call_limit
+    )
+    ds = rd.from_items([{"path": p} for p in paths])
+    return ds.map_batches(process, batch_format="pandas", batch_size=1)
 
 
 def canonical_graphs_partitioned(
@@ -517,11 +485,7 @@ def canonical_graphs_partitioned(
         for d in os.listdir(root)
         if d.startswith("part=")
     )
-    process = _canonicalize_part_files(
-        _link_maps_ref(sf_dir), hash_name, hndq_call_limit
-    )
-    ds = rd.from_items([{"path": p} for p in parts])
-    return ds.map_batches(process, batch_format="pandas", batch_size=1)
+    return _part_files_dataset(sf_dir, parts, hash_name, hndq_call_limit)
 
 
 def _partition_paths(root: str) -> dict:
@@ -619,6 +583,19 @@ def canonical_store(
     return atomic_publish_dir(tmp, out_dir)
 
 
+def _canonical_delta(
+    sf_dir: str, num_buckets: int, delta_mod: int, hash_name: str
+) -> rd.Dataset:
+    """Canonical graphs of the DELTA buckets (``b % delta_mod == 0``),
+    map-only, in bucket order."""
+    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
+    delta = [
+        p for b, p in sorted(_partition_paths(root).items())
+        if b % delta_mod == 0
+    ]
+    return _part_files_dataset(sf_dir, delta, hash_name, None)
+
+
 def canonical_incremental(
     sf_dir: str,
     num_buckets: int = 128,
@@ -638,20 +615,8 @@ def canonical_incremental(
     view over the FULL corpus — equal to a from-scratch rebuild, so it
     shares ``kg_canonical_sizes``'s derivable SQL oracle; byte-level
     equality of the merged canonical documents is pinned in pytest."""
-    import pandas as pd
-
     store = canonical_store(sf_dir, num_buckets, delta_mod, hash_name)
-    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
-    delta = {
-        b: p
-        for b, p in _partition_paths(root).items()
-        if b % delta_mod == 0
-    }
-    process = _canonicalize_part_files(_link_maps_ref(sf_dir), hash_name, None)
-    delta_ds = rd.from_items(
-        [{"path": p} for _, p in sorted(delta.items())]
-    ).map_batches(process, batch_format="pandas", batch_size=1)
-
+    delta_ds = _canonical_delta(sf_dir, num_buckets, delta_mod, hash_name)
     cols = ["graph_id", "n_quads", "n_bnodes", "status"]
 
     def project(batch: pd.DataFrame) -> pd.DataFrame:
@@ -675,19 +640,8 @@ def canonical_incremental_full(
 ) -> rd.Dataset:
     """Full-row merged store ∪ delta (canon_nquads, label_map, …) for
     the byte-equality pytest against the from-scratch rebuild."""
-    import pandas as pd
-
     store = canonical_store(sf_dir, num_buckets, delta_mod)
-    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
-    delta = {
-        b: p
-        for b, p in _partition_paths(root).items()
-        if b % delta_mod == 0
-    }
-    process = _canonicalize_part_files(_link_maps_ref(sf_dir), "sha256", None)
-    delta_ds = rd.from_items(
-        [{"path": p} for _, p in sorted(delta.items())]
-    ).map_batches(process, batch_format="pandas", batch_size=1)
+    delta_ds = _canonical_delta(sf_dir, num_buckets, delta_mod, "sha256")
     ident = lambda b: b
     return rd.read_parquet(store).map_batches(
         ident, batch_format="pandas", batch_size=8192
@@ -705,7 +659,7 @@ def entity_mention_counts(sf_dir: str) -> rd.Dataset:
 
     from ..stages.shuffle import grouped_agg
 
-    ments = _link_batches(sf_dir, None, "mentions")
+    ments = _link_batches(sf_dir, None, "_mention_rows_arrow")
 
     def project(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -730,7 +684,7 @@ def entity_degree(sf_dir: str) -> rd.Dataset:
 
     from ..stages.shuffle import distinct, grouped_agg
 
-    ments = _link_batches(sf_dir, None, "mentions")
+    ments = _link_batches(sf_dir, None, "_mention_rows_arrow")
 
     def project(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -799,11 +753,6 @@ def run_kg_resumable(
 
     Returns the run-summary DataFrame (bucket, rows, status, seconds).
     """
-    from ..stages.canonicalize import (
-        _cached_linker,
-        canonicalize_one,
-        iter_graph_tuples,
-    )
     from ..state.lineage import resumable_bucket_run
 
     maps_ref = _link_maps_ref(sf_dir)
@@ -812,15 +761,9 @@ def run_kg_resumable(
     fail = _fail_buckets or set()
 
     def bucket_fn(bucket):
-        import pandas as pd
-
-        linker = _cached_linker(maps_ref)
-        quads = linker(bucket)
-        rows = [
-            canonicalize_one(gid, tuples, "sha256", hndq_call_limit, structure=True)
-            for gid, tuples in iter_graph_tuples(quads)
-        ]
-        return pd.DataFrame(rows)
+        return canonicalize_bucket(
+            bucket, maps_ref, "sha256", hndq_call_limit
+        ).to_pandas()
 
     def failing_bucket_fn(bucket):
         import numpy as _np

@@ -33,15 +33,6 @@ from ..transcripts.extract import EntityLinker
 
 # canonical-graph row schema (canonicalize_one's dict): declared
 # explicitly so empty buckets never infer null-typed columns
-_GRAPH_COLS = (
-    "graph_id",
-    "canon_nquads",
-    "label_map",
-    "n_quads",
-    "n_bnodes",
-    "status",
-    "error",
-)
 _GRAPH_SCHEMA = pa.schema(
     [
         ("graph_id", pa.string()),
@@ -96,39 +87,6 @@ def iter_graph_tuples(df: pd.DataFrame):
         yield gids[a], tuples
 
 
-def group_to_quads(group: pd.DataFrame) -> list:
-    """Flat quad rows → core 9-tuples. Graph-name columns (``g_kind``,
-    ``g``) are honored when present (generic N-Quads datasets); KG
-    conversation graphs omit them (default graph)."""
-    if "g_kind" in group.columns:
-        return [
-            (int(sk), s, p, int(ok), o, dt or "", lang or "", int(gk), g or "")
-            for sk, s, p, ok, o, dt, lang, gk, g in zip(
-                group["s_kind"],
-                group["s"],
-                group["p"],
-                group["o_kind"],
-                group["o"],
-                group["o_dt"],
-                group["o_lang"],
-                group["g_kind"],
-                group["g"],
-            )
-        ]
-    return [
-        (int(sk), s, p, int(ok), o, dt or "", lang or "", DEFAULT, "")
-        for sk, s, p, ok, o, dt, lang in zip(
-            group["s_kind"],
-            group["s"],
-            group["p"],
-            group["o_kind"],
-            group["o"],
-            group["o_dt"],
-            group["o_lang"],
-        )
-    ]
-
-
 def add_structure_quads(quads: list, conv_id: str) -> list:
     """Conversation-structure quads built once the group is assembled:
     session hub + stable turn chain.
@@ -160,7 +118,7 @@ def add_structure_quads(quads: list, conv_id: str) -> list:
 
 def canonicalize_one(
     graph_id: str,
-    group: pd.DataFrame,
+    quads: list,
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
     structure: bool = False,
@@ -169,9 +127,8 @@ def canonicalize_one(
 
     ``structure=True`` adds the KG conversation-structure quads (session
     hub + turn chain) before canonicalization; generic RDF datasets pass
-    ``False`` and are canonicalized exactly as given.  ``group`` may be a
-    quads DataFrame or a prebuilt list of core 9-tuples."""
-    quads = group if isinstance(group, list) else group_to_quads(group)
+    ``False`` and are canonicalized exactly as given.  ``quads`` is a
+    list of core 9-tuples (``iter_graph_tuples``)."""
     if structure:
         quads = add_structure_quads(quads, graph_id)
     n_bnodes = len(
@@ -241,9 +198,34 @@ def _cached_linker(maps_ref):
     key = maps_ref.hex() if hasattr(maps_ref, "hex") else id(maps_ref)
     linker = _LINKER_CACHE.get(key)
     if linker is None:
-        linker = EntityLinker(maps_ref, output="quads")
-        _LINKER_CACHE[key] = linker
+        linker = _LINKER_CACHE[key] = EntityLinker(maps_ref)
     return linker
+
+
+def canonicalize_bucket(
+    mentions: pd.DataFrame,
+    maps_ref,
+    hash_name: str = "sha256",
+    hndq_call_limit: Optional[int] = None,
+) -> pa.Table:
+    """The flagship bucket kernel, shared by the shuffle, partitioned,
+    store-build, incremental and resumable paths: a mentions frame
+    holding whole conversations → link → per-graph 9-tuples → RDFC-1.0
+    (with the conversation-structure quads) → one row per graph.
+
+    Output is an ARROW table with ``_GRAPH_SCHEMA``: the canonical
+    documents are ~0.5 GB of strings at sf0.1 — Arrow blocks store and
+    ship them zero-copy through the object store, where pandas object
+    columns would pickle (measured ~0.7 s off the sf0.1 headline)."""
+    quads = _cached_linker(maps_ref)(mentions)
+    rows = [
+        canonicalize_one(gid, tuples, hash_name, hndq_call_limit, structure=True)
+        for gid, tuples in iter_graph_tuples(quads)
+    ]
+    return pa.table(
+        {c: [r[c] for r in rows] for c in _GRAPH_SCHEMA.names},
+        schema=_GRAPH_SCHEMA,
+    )
 
 
 def canonicalize_mentions(
@@ -255,32 +237,17 @@ def canonicalize_mentions(
 ) -> rd.Dataset:
     """Fused fast path: shuffle the COMPACT mentions table (one row per
     mention) by conversation bucket, then expand to quads and
-    canonicalize inside the bucket.
+    canonicalize inside the bucket (``canonicalize_bucket``).
 
     Versus ``canonicalize_graphs`` over a pre-expanded quads table this
     moves ~6× fewer rows/bytes through the all-to-all exchange — the
     quad expansion is recomputed post-shuffle where it is cheap and
     local.  Link maps are broadcast (``ray.put``) and deserialized once
-    per worker via ``_cached_linker``.
-
-    Bucket output is an ARROW table (explicit schema): the canonical
-    documents are ~0.5 GB of strings at sf0.1 — Arrow blocks store and
-    ship them zero-copy through the object store, where pandas object
-    columns would pickle (measured ~0.7 s off the sf0.1 headline)."""
-
-    def run_bucket(bucket: pd.DataFrame):
-        linker = _cached_linker(maps_ref)
-        quads = linker(bucket)
-        rows = [
-            canonicalize_one(gid, tuples, hash_name, hndq_call_limit, structure=True)
-            for gid, tuples in iter_graph_tuples(quads)
-        ]
-        return pa.table(
-            {c: [r[c] for r in rows] for c in _GRAPH_COLS},
-            schema=_GRAPH_SCHEMA,
-        )
-
+    per worker via ``_cached_linker``."""
     from .shuffle import bucketed_map_groups
+
+    def run_bucket(bucket: pd.DataFrame) -> pa.Table:
+        return canonicalize_bucket(bucket, maps_ref, hash_name, hndq_call_limit)
 
     return bucketed_map_groups(
         mentions_ds, ["conv_id"], run_bucket, num_buckets=num_buckets

@@ -1,19 +1,18 @@
 """Mention detection, triple extraction and entity linking over transcript
-batches.
+batches — one kernel of each, shared by every flagship path.
 
-Two Ray stages (both vectorized, both actor pools so regexes/dictionaries
-are built once per worker, per SURVEY.md §2.4 "stateful stages"):
-
-* ``MentionExtractor`` — compiled-regex mention detection over the ``text``
-  column; emits one mention row per detected pattern with a deterministic
-  per-turn blank-node label ``t<idx>-<hash64(text)>`` (so duplicate turns
-  collapse to the same turn node under RDF set semantics).
+* ``extract_mentions_arrow`` — role filter + RE2 mention detection over
+  the ``text`` column; emits one mention row per detected pattern with a
+  deterministic per-turn blank-node label ``t<idx>-<hash64(text)>`` (so
+  duplicate turns collapse to the same turn node under RDF set
+  semantics).
 * ``EntityLinker`` — resolves mention surfaces to canonical entity IRIs
-  against broadcast dimension dictionaries (``ray.put`` once, ``ray.get``
-  in ``__init__``). Ambiguous part names resolve deterministically to the
-  MINIMUM matching ``p_partkey`` — the rule the DuckDB oracle reproduces.
-  Emits either the flat quads table (``output="quads"``) or a scored link
-  table (``output="links"``).
+  against broadcast dimension arrays (``build_link_maps``; ``ray.put``
+  once, deserialized once per worker process).  Ambiguous part names
+  resolve deterministically to the MINIMUM matching ``p_partkey`` — the
+  rule the DuckDB oracle reproduces.  Emits the flat quads table
+  (``_quads``, also its ``__call__``), the triples, the entity-mention
+  projection or a scored link table.
 
 The quads table uses the flat term layout from
 ``rdf_canon_ray.core.terms`` plus a ``graph_id`` partition key; graph name
@@ -48,17 +47,14 @@ RE_ITEM = re.compile(
 
 MENTION_COLS = ["conv_id", "turn_idx", "turn_label", "role", "mtype", "a", "b", "c", "d"]
 
-# Process-level singletons: stateless-task stages reuse these across
-# batches within a worker process (same amortization as an actor pool,
-# but tasks scale out instantly instead of waiting for pool ramp-up).
-_EXTRACTOR_SINGLETON = None
+# the transcript columns extraction reads (tool/ts never leave storage)
+_EXTRACT_COLS = ["conv_id", "turn_idx", "role", "text"]
 
 
 def extract_mentions_batch(batch: pd.DataFrame) -> pd.DataFrame:
-    global _EXTRACTOR_SINGLETON
-    if _EXTRACTOR_SINGLETON is None:
-        _EXTRACTOR_SINGLETON = MentionExtractor()
-    return _EXTRACTOR_SINGLETON(batch)
+    """pandas-in, pandas-out entry over ``extract_mentions_arrow``."""
+    table = pa.Table.from_pandas(batch[_EXTRACT_COLS], preserve_index=False)
+    return extract_mentions_arrow(table).to_pandas()
 
 
 # (role, RE2 pattern, mtype, struct fields, mention slots)
@@ -154,100 +150,40 @@ def turn_labels(turn_idx: pd.Series, text: pd.Series) -> pd.Series:
     )
 
 
-class MentionExtractor:
-    """Regex mention detection; one output row per mention tuple."""
+def build_link_maps(sf_dir: str) -> dict:
+    """Dimension lookup arrays for entity linking (driver side,
+    broadcast): resolved column → (surface keys, values), both Arrow.
 
-    def __init__(self):
-        self.re_user = RE_USER
-        self.re_assistant = RE_ASSISTANT
-        self.re_item = RE_ITEM
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        text = batch["text"]
-        labels = turn_labels(batch["turn_idx"], text)
-        base = pd.DataFrame(
-            {
-                "conv_id": batch["conv_id"].to_numpy(dtype=object),
-                "turn_idx": batch["turn_idx"].to_numpy(),
-                "turn_label": labels,
-                "role": batch["role"].to_numpy(dtype=object),
-            }
-        )
-        # Pre-filter by role before the regex pass: each pattern only
-        # matches one speaker role, so this cuts regex work ~3×.
-        role = batch["role"].to_numpy(dtype=object)
-        outs = []
-
-        def run(mask, regex, mtype, slots):
-            if not mask.any():
-                return
-            sub_text = text[mask]
-            ext = sub_text.str.extract(regex)
-            hit = ext[slots[0][1]].notna()
-            if not hit.any():
-                return
-            part = base[mask][hit.to_numpy()].copy()
-            part["mtype"] = mtype
-            for col, group in slots:
-                part[col] = ext.loc[hit, group].to_numpy(dtype=object)
-            for col in ("a", "b", "c", "d"):
-                if col not in part.columns:
-                    part[col] = ""
-            outs.append(part)
-
-        run(role == "user", self.re_user, "order_open",
-            [("a", "cust"), ("b", "okey")])
-        run(role == "assistant", self.re_assistant, "order_status",
-            [("a", "okey"), ("b", "status"), ("c", "prio")])
-        run(role == "tool", self.re_item, "item",
-            [("a", "pname"), ("b", "brand"), ("c", "sname"), ("d", "qty")])
-
-        if not outs:
-            return pd.DataFrame({c: [] for c in MENTION_COLS})
-        return pd.concat(outs, ignore_index=True)[MENTION_COLS]
-
-
-def build_link_maps(sf_dir: str):
-    """Dimension dictionaries for entity linking (driver side, broadcast).
-
-    part resolution: (p_name, p_brand) → MIN(p_partkey); part names are
-    intentionally ambiguous in the corpus, the min-key rule is the
-    deterministic tie-break the oracle replicates. Also records the
+    part resolution: ``"p_name|p_brand"`` → MIN(p_partkey); part names
+    are intentionally ambiguous in the corpus, the min-key rule is the
+    deterministic tie-break the oracle replicates.  ``part_cnt`` is the
     candidate-set size for the link score (1/n_candidates)."""
     import os
 
     import pyarrow.parquet as pq
 
-    cust = pq.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_name"]
-    )
-    cust_map = dict(zip(cust["c_name"].to_pylist(), cust["c_custkey"].to_pylist()))
+    def read(table, cols):
+        return pq.read_table(os.path.join(sf_dir, f"{table}.parquet"), columns=cols)
 
-    part = pq.read_table(
-        os.path.join(sf_dir, "part.parquet"),
-        columns=["p_partkey", "p_name", "p_brand"],
-    )
-    part_map: dict = {}
-    part_count: dict = {}
-    for k, n, b in zip(
-        part["p_partkey"].to_pylist(),
-        part["p_name"].to_pylist(),
-        part["p_brand"].to_pylist(),
-    ):
-        key = (n, b)
-        part_count[key] = part_count.get(key, 0) + 1
-        if key not in part_map or k < part_map[key]:
-            part_map[key] = k
+    def lookup(keys, vals):
+        return (
+            pc.cast(keys, pa.string()).combine_chunks(),
+            pc.cast(vals, pa.int64()).combine_chunks(),
+        )
 
-    supp = pq.read_table(
-        os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey", "s_name"]
+    cust = read("customer", ["c_custkey", "c_name"])
+    part = (
+        read("part", ["p_partkey", "p_name", "p_brand"])
+        .group_by(["p_name", "p_brand"])
+        .aggregate([("p_partkey", "min"), ("p_partkey", "count")])
     )
-    supp_map = dict(zip(supp["s_name"].to_pylist(), supp["s_suppkey"].to_pylist()))
+    part_surface = pc.binary_join_element_wise(part["p_name"], part["p_brand"], "|")
+    supp = read("supplier", ["s_suppkey", "s_name"])
     return {
-        "cust": cust_map,
-        "part": part_map,
-        "part_count": part_count,
-        "supp": supp_map,
+        "cust_key": lookup(cust["c_name"], cust["c_custkey"]),
+        "part_key": lookup(part_surface, part["p_partkey_min"]),
+        "part_cnt": lookup(part_surface, part["p_partkey_count"]),
+        "supp_key": lookup(supp["s_name"], supp["s_suppkey"]),
     }
 
 
@@ -259,17 +195,17 @@ def resolve_mentions_partitioned(
 ):
     """Mentions + resolved entity keys via CO-PARTITIONED hash joins on
     the surface keys — the above-the-gate linker path where the
-    dimension tables are too large for driver dicts (``build_link_maps``
+    dimension tables are too large to broadcast (``build_link_maps``
     reads every dimension row to the driver and ``ray.put``s the result;
     at 100 TB the customer/part/supplier dims stream instead).
 
-    Semantics match the broadcast dictionaries exactly: part surfaces
+    Semantics match the broadcast lookup arrays exactly: part surfaces
     resolve to MIN(p_partkey) per (p_name, p_brand) with the candidate
     count attached (one small grouped aggregate on the dim side);
     customer/supplier names are unique by construction, so a plain left
-    join is the dict lookup.  Output: the mention rows plus nullable
+    join is the broadcast lookup.  Output: the mention rows plus nullable
     ``cust_key/part_key/part_cnt/supp_key`` columns (NaN = unresolved),
-    which every ``EntityLinker`` emitter prefers over its dicts."""
+    which ``EntityLinker.resolve`` prefers over its lookup arrays."""
     import os
 
     import ray.data as rd
@@ -282,9 +218,10 @@ def resolve_mentions_partitioned(
 
     def pad(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch.copy()
+        # float64 everywhere: the left joins NaN-pad unresolved keys, so
+        # the key dtype would otherwise differ between blocks
         for c in _RESOLVED_COLS:
-            if c not in out.columns:
-                out[c] = np.nan
+            out[c] = out[c].astype(np.float64) if c in out.columns else np.nan
         # the join's internal side-union NaN-pads non-key int columns
         # to float64 (standing trap) — cast turn_idx back before the
         # emitters stringify it
@@ -390,90 +327,76 @@ _LINKS_SCHEMA = pa.schema(
 )
 
 
+_SURFACE = {  # resolved column → the mention slots its surface joins
+    "cust_key": ("a",),
+    "part_key": ("a", "b"),
+    "part_cnt": ("a", "b"),
+    "supp_key": ("c",),
+}
+
+
+def _column(batch, name: str):
+    """Column ``name`` of a pandas or Arrow batch as Arrow (NaN → null),
+    or None when the batch has no such column."""
+    if isinstance(batch, pd.DataFrame):
+        if name not in batch.columns:
+            return None
+        return pa.array(batch[name], from_pandas=True)
+    return batch[name] if name in batch.column_names else None
+
+
+def _of_type(batch: pa.Table, mtype: str):
+    """The ``mtype`` mention rows of ``batch``, or None if there are none."""
+    mask = pc.equal(batch["mtype"], mtype)
+    return batch.filter(mask) if pc.any(mask).as_py() else None
+
+
+def _iri(prefix: str, keys) -> pa.Array:
+    return pc.binary_join_element_wise(prefix, pc.cast(keys, pa.string()), "")
+
+
+def _order_iris(batch: pa.Table):
+    conv = pc.cast(batch["conv_id"], pa.string())
+    okey = pc.replace_substring_regex(conv, pattern="^conv-", replacement="")
+    return conv, _iri(ENT + "order:", okey)
+
+
 class EntityLinker:
-    """Mentions → quads (or scored links). Dictionaries broadcast once.
+    """Mentions → quads, triples, entity mentions or scored links, all
+    through one resolver (``resolve``).
 
-    Pandas emission (``_quads``/``_triples``/…) is used post-shuffle in
-    the flagship bucket kernel; the ``*_arrow`` twins keep the
-    pre-shuffle link stage zero-copy Arrow end to end (C++ ``index_in``
-    dictionary lookups, no Python-object column boxing)."""
+    ``_quads`` (also ``__call__``) takes and returns pandas: it is the
+    bucket kernel's quads frame, which ``iter_graph_tuples`` marshals for
+    the RDFC-1.0 kernel.  The ``*_arrow`` emitters take and return Arrow
+    tables (``batch_format="pyarrow"`` link stages)."""
 
-    def __init__(self, maps_ref, output: str = "quads"):
-        maps = ray.get(maps_ref) if not isinstance(maps_ref, dict) else maps_ref
-        self.cust = maps["cust"]
-        self.part = maps["part"]
-        self.part_count = maps["part_count"]
-        self.supp = maps["supp"]
-        self.output = output
-        self._arrow_tables = None  # built lazily: only the *_arrow
-        # emitters need them; the post-shuffle quads path never does
+    def __init__(self, maps_ref):
+        self.maps = maps_ref if isinstance(maps_ref, dict) else ray.get(maps_ref)
 
-    def _arrow(self):
-        if self._arrow_tables is None:
-            part_items = list(self.part.items())
-            self._arrow_tables = {
-                "cust_keys": pa.array(list(self.cust.keys()), pa.string()),
-                "cust_vals": pa.array(list(self.cust.values()), pa.int64()),
-                "part_keys": pa.array(
-                    [f"{n}|{b}" for (n, b), _ in part_items], pa.string()
-                ),
-                "part_vals": pa.array(
-                    [v for _, v in part_items], pa.int64()
-                ),
-                "part_cnts": pa.array(
-                    [float(self.part_count[k]) for k, _ in part_items],
-                    pa.float64(),
-                ),
-                "supp_keys": pa.array(list(self.supp.keys()), pa.string()),
-                "supp_vals": pa.array(list(self.supp.values()), pa.int64()),
-            }
-        return self._arrow_tables
+    def resolve(self, batch, col: str):
+        """``col`` (one of ``_RESOLVED_COLS``) for every row of the pandas
+        or Arrow ``batch`` as int64, null = unresolved.
 
-    # _cust_keys/_cust_vals/_part_keys/_part_vals/_part_cnts/
-    # _supp_keys/_supp_vals resolve through the lazy dict; __getattr__
-    # only fires for attributes NOT set in __init__, so the hot quads
-    # path never builds the Arrow tables
-    def __getattr__(self, name):
-        if name.startswith("_") and name[1:] in (
-            "cust_keys", "cust_vals", "part_keys", "part_vals",
-            "part_cnts", "supp_keys", "supp_vals",
-        ):
-            return self._arrow()[name[1:]]
-        raise AttributeError(name)
+        A pre-resolved column wins when the batch carries one
+        (``resolve_mentions_partitioned`` attached it via co-partitioned
+        hash joins — the above-the-gate path where the dimension tables
+        are too large to broadcast); otherwise the mention surface is
+        looked up in the broadcast arrays (C++ ``index_in`` + ``take``)."""
+        pre = _column(batch, col)
+        if pre is not None:
+            return pc.cast(pre, pa.int64())
+        keys, vals = self.maps[col]
+        surface = pc.binary_join_element_wise(
+            *(_column(batch, c) for c in _SURFACE[col]), "|"
+        )
+        return pc.take(vals, pc.index_in(surface, value_set=keys))
 
-    # -- surface resolution -------------------------------------------
-    # Each helper prefers a PRE-RESOLVED key column when the batch
-    # carries one (``resolve_mentions_partitioned`` attached it via
-    # co-partitioned hash joins — the above-the-gate path where the
-    # dimension tables are too large for driver dicts) and falls back
-    # to the broadcast dictionaries otherwise.  Both paths produce the
-    # same nullable float series (NaN = unresolved), so every emitter
-    # below is resolution-agnostic.
-    def _resolve_cust(self, sub: pd.DataFrame) -> pd.Series:
-        if "cust_key" in sub.columns:
-            return sub["cust_key"]
-        return sub["a"].map(self.cust)
+    def _lookup(self, sub, col: str):
+        """(found mask, resolved ``col`` of the found rows) for ``sub``."""
+        keys = self.resolve(sub, col)
+        found = pc.is_valid(keys)
+        return found, keys.filter(found)
 
-    def _resolve_part(self, sub: pd.DataFrame) -> pd.Series:
-        if "part_key" in sub.columns:
-            return sub["part_key"]
-        return pd.Series(
-            list(zip(sub["a"], sub["b"])), index=sub.index
-        ).map(self.part)
-
-    def _resolve_part_count(self, sub: pd.DataFrame) -> pd.Series:
-        if "part_cnt" in sub.columns:
-            return sub["part_cnt"]
-        return pd.Series(
-            list(zip(sub["a"], sub["b"])), index=sub.index
-        ).map(self.part_count)
-
-    def _resolve_supp(self, sub: pd.DataFrame) -> pd.Series:
-        if "supp_key" in sub.columns:
-            return sub["supp_key"]
-        return sub["c"].map(self.supp)
-
-    # -- helpers ------------------------------------------------------
     @staticmethod
     def _rows(graph_id, s_kind, s, p, o_kind, o, o_dt=""):
         n = len(graph_id)
@@ -489,76 +412,6 @@ class EntityLinker:
                 "o_lang": np.full(n, "", dtype=object),
             }
         )
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if self.output == "links":
-            return self._links(batch)
-        if self.output == "triples":
-            return self._triples(batch)
-        return self._quads(batch)
-
-    def _triples(self, batch: pd.DataFrame) -> pd.DataFrame:
-        """IRI-subject triples only (conv_id, subj, pred, obj) — skips
-        the turn-node quad rows entirely (~3.5× fewer rows than the full
-        quads table when only the triple product is needed)."""
-        if len(batch) == 0:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=object) for c in
-                 ["conv_id", "subj", "pred", "obj"]}
-            )
-        conv = batch["conv_id"].to_numpy(dtype=object)
-        okey = np.array([c[5:] for c in conv], dtype=object)
-        order_iri = np.char.add(ENT + "order:", okey.astype(str))
-        m = batch["mtype"].to_numpy(dtype=object)
-        out = []
-
-        def rows(idx, pred, obj):
-            out.append(
-                pd.DataFrame(
-                    {
-                        "conv_id": conv[idx],
-                        "subj": order_iri[idx],
-                        "pred": pred,
-                        "obj": obj,
-                    }
-                )
-            )
-
-        sel = m == "order_open"
-        if sel.any():
-            custkey = self._resolve_cust(batch.loc[sel])
-            ok = custkey.notna().to_numpy()
-            idx = np.flatnonzero(sel)[ok]
-            rows(idx, REL + "placedBy",
-                 (ENT + "cust:" + custkey[ok].astype("int64").astype(str)
-                  ).to_numpy(dtype=object))
-
-        sel = m == "order_status"
-        if sel.any():
-            idx = np.flatnonzero(sel)
-            sub = batch.iloc[idx]
-            rows(idx, REL + "status", sub["b"].to_numpy(dtype=object))
-            rows(idx, REL + "priority", sub["c"].to_numpy(dtype=object))
-
-        sel = m == "item"
-        if sel.any():
-            idx = np.flatnonzero(sel)
-            sub = batch.iloc[idx]
-            pkeys = self._resolve_part(sub)
-            skeys = self._resolve_supp(sub)
-            pok = pkeys.notna().to_numpy()
-            if pok.any():
-                rows(idx[pok], REL + "hasPart",
-                     (ENT + "part:" + pkeys[pok].astype("int64").astype(str)
-                      ).to_numpy(dtype=object))
-            sok = skeys.notna().to_numpy()
-            if sok.any():
-                rows(idx[sok], REL + "suppliedBy",
-                     (ENT + "supp:" + skeys[sok].astype("int64").astype(str)
-                      ).to_numpy(dtype=object))
-
-        res = pd.concat(out, ignore_index=True)
-        return res.drop_duplicates()
 
     def _quads(self, batch: pd.DataFrame) -> pd.DataFrame:
         if len(batch) == 0:
@@ -580,20 +433,22 @@ class EntityLinker:
             self._rows(conv, BNODE, tl, REL + "mentions", IRI, order_iri),
         ]
 
+        def link(sub, idx, col, kind, pred):
+            # order → entity edge plus the turn's mention of the entity
+            found, keys = self._lookup(sub, col)
+            idx = idx[found.to_numpy(zero_copy_only=False)]
+            iris = _iri(ENT + kind, keys).to_numpy(zero_copy_only=False)
+            out.append(self._rows(conv[idx], IRI, order_iri[idx],
+                                  REL + pred, IRI, iris))
+            out.append(self._rows(conv[idx], BNODE, tl[idx],
+                                  REL + "mentions", IRI, iris))
+
         m = batch["mtype"].to_numpy(dtype=object)
 
         sel = m == "order_open"
         if sel.any():
-            custkey = self._resolve_cust(batch.loc[sel])
-            ok = custkey.notna().to_numpy()
-            idx = np.flatnonzero(sel)[ok]
-            cust_iri = (
-                ENT + "cust:" + custkey[ok].astype("int64").astype(str)
-            ).to_numpy(dtype=object)
-            out.append(self._rows(conv[idx], IRI, order_iri[idx],
-                                  REL + "placedBy", IRI, cust_iri))
-            out.append(self._rows(conv[idx], BNODE, tl[idx],
-                                  REL + "mentions", IRI, cust_iri))
+            idx = np.flatnonzero(sel)
+            link(batch.iloc[idx], idx, "cust_key", "cust:", "placedBy")
 
         sel = m == "order_status"
         if sel.any():
@@ -610,159 +465,19 @@ class EntityLinker:
         if sel.any():
             idx = np.flatnonzero(sel)
             sub = batch.iloc[idx]
-            pkeys = self._resolve_part(sub)
-            skeys = self._resolve_supp(sub)
-            pok = pkeys.notna().to_numpy()
-            if pok.any():
-                pi = idx[pok]
-                part_iri = (
-                    ENT + "part:" + pkeys[pok].astype("int64").astype(str)
-                ).to_numpy(dtype=object)
-                out.append(self._rows(conv[pi], IRI, order_iri[pi],
-                                      REL + "hasPart", IRI, part_iri))
-                out.append(self._rows(conv[pi], BNODE, tl[pi],
-                                      REL + "mentions", IRI, part_iri))
-            sok = skeys.notna().to_numpy()
-            if sok.any():
-                si = idx[sok]
-                supp_iri = (
-                    ENT + "supp:" + skeys[sok].astype("int64").astype(str)
-                ).to_numpy(dtype=object)
-                out.append(self._rows(conv[si], IRI, order_iri[si],
-                                      REL + "suppliedBy", IRI, supp_iri))
-                out.append(self._rows(conv[si], BNODE, tl[si],
-                                      REL + "mentions", IRI, supp_iri))
+            link(sub, idx, "part_key", "part:", "hasPart")
+            link(sub, idx, "supp_key", "supp:", "suppliedBy")
 
         return pd.concat(out, ignore_index=True)
 
-    def _mention_rows(self, batch: pd.DataFrame) -> pd.DataFrame:
-        """(conv_id, entity_iri) per entity mention — exactly the object
-        multiset of the ``urn:rel:mentions`` quads, WITHOUT expanding the
-        7-quad-per-row table first (the entity-aggregate queries only
-        need this projection; ~3× less work and shuffle volume)."""
-        if len(batch) == 0:
-            return pd.DataFrame(
-                {
-                    "conv_id": pd.Series([], dtype=object),
-                    "entity_iri": pd.Series([], dtype=object),
-                }
-            )
-        conv = batch["conv_id"].to_numpy(dtype=object)
-        okey = np.array([c[5:] for c in conv], dtype=object)
-        order_iri = np.char.add(ENT + "order:", okey.astype(str))
-        convs = [conv]
-        iris = [order_iri.astype(object)]
-        m = batch["mtype"].to_numpy(dtype=object)
-
-        sel = m == "order_open"
-        if sel.any():
-            custkey = self._resolve_cust(batch.loc[sel])
-            ok = custkey.notna().to_numpy()
-            idx = np.flatnonzero(sel)[ok]
-            convs.append(conv[idx])
-            iris.append(
-                (ENT + "cust:" + custkey[ok].astype("int64").astype(str))
-                .to_numpy(dtype=object)
-            )
-
-        sel = m == "item"
-        if sel.any():
-            idx = np.flatnonzero(sel)
-            sub = batch.iloc[idx]
-            pkeys = self._resolve_part(sub)
-            skeys = self._resolve_supp(sub)
-            pok = pkeys.notna().to_numpy()
-            if pok.any():
-                convs.append(conv[idx[pok]])
-                iris.append(
-                    (ENT + "part:" + pkeys[pok].astype("int64").astype(str))
-                    .to_numpy(dtype=object)
-                )
-            sok = skeys.notna().to_numpy()
-            if sok.any():
-                convs.append(conv[idx[sok]])
-                iris.append(
-                    (ENT + "supp:" + skeys[sok].astype("int64").astype(str))
-                    .to_numpy(dtype=object)
-                )
-
-        return pd.DataFrame(
-            {
-                "conv_id": np.concatenate(convs),
-                "entity_iri": np.concatenate(iris),
-            }
-        )
-
-    def _links(self, batch: pd.DataFrame) -> pd.DataFrame:
-        """Scored link table: one row per entity mention surface with its
-        resolved IRI and an ambiguity score = 1 / |candidate set|."""
-        rows = {"conv_id": [], "surface": [], "entity_iri": [], "score": []}
-        m = batch["mtype"].to_numpy(dtype=object)
-
-        sel = m == "order_open"
-        if sel.any():
-            sub = batch.loc[sel]
-            keys = self._resolve_cust(sub)
-            ok = keys.notna()
-            rows["conv_id"].extend(sub.loc[ok, "conv_id"])
-            rows["surface"].extend(sub.loc[ok, "a"])
-            rows["entity_iri"].extend(
-                ENT + "cust:" + keys[ok].astype("int64").astype(str)
-            )
-            rows["score"].extend([1.0] * int(ok.sum()))
-
-        sel = m == "item"
-        if sel.any():
-            sub = batch.loc[sel]
-            pkeys = self._resolve_part(sub)
-            counts = self._resolve_part_count(sub)
-            ok = pkeys.notna()
-            rows["conv_id"].extend(sub.loc[ok, "conv_id"])
-            rows["surface"].extend(sub.loc[ok, "a"] + "|" + sub.loc[ok, "b"])
-            rows["entity_iri"].extend(
-                ENT + "part:" + pkeys[ok].astype("int64").astype(str)
-            )
-            rows["score"].extend((1.0 / counts[ok]).tolist())
-
-            skeys = self._resolve_supp(sub)
-            ok = skeys.notna()
-            rows["conv_id"].extend(sub.loc[ok, "conv_id"])
-            rows["surface"].extend(sub.loc[ok, "c"])
-            rows["entity_iri"].extend(
-                ENT + "supp:" + skeys[ok].astype("int64").astype(str)
-            )
-            rows["score"].extend([1.0] * int(ok.sum()))
-
-        return pd.DataFrame(rows)
-
-    # -- Arrow-native emission (pre-shuffle zero-copy path) -----------
-    @staticmethod
-    def _iri(prefix: str, keys: pa.Array) -> pa.Array:
-        return pc.binary_join_element_wise(
-            prefix, pc.cast(keys, pa.string()), ""
-        )
-
-    @staticmethod
-    def _resolve(surface, keys, vals):
-        """surface → (found mask, resolved values) via C++ index_in."""
-        idx = pc.index_in(surface, value_set=keys)
-        found = pc.is_valid(idx)
-        return found, pc.take(vals, pc.filter(idx, found))
-
-    def _order_iris(self, batch: pa.Table):
-        conv = pc.cast(batch["conv_id"], pa.string())
-        okey = pc.replace_substring_regex(
-            conv, pattern="^conv-", replacement=""
-        )
-        return conv, self._iri(ENT + "order:", okey)
+    __call__ = _quads
 
     def _triples_arrow(self, batch: pa.Table) -> pa.Table:
-        """Arrow twin of ``_triples``: per-batch-distinct
-        (conv_id, subj, pred, obj) without leaving Arrow."""
+        """IRI-subject triples only (conv_id, subj, pred, obj),
+        per-batch distinct — skips the turn-node quad rows entirely
+        (~3.5× fewer rows than the full quads table)."""
         if batch.num_rows == 0:
             return _TRIPLES_SCHEMA.empty_table()
-        conv, order_iri = self._order_iris(batch)
-        m = batch["mtype"]
         pieces = []
 
         def piece(conv_a, subj_a, pred, obj_a):
@@ -778,43 +493,26 @@ class EntityLinker:
                 ).cast(_TRIPLES_SCHEMA)
             )
 
-        mask = pc.equal(m, "order_open")
-        if pc.any(mask).as_py():
-            cf, of = conv.filter(mask), order_iri.filter(mask)
-            found, ck = self._resolve(
-                batch["a"].filter(mask), self._cust_keys, self._cust_vals
-            )
-            piece(
-                cf.filter(found), of.filter(found),
-                REL + "placedBy", self._iri(ENT + "cust:", ck),
-            )
+        def link(sub, col, kind, pred):
+            conv, order_iri = _order_iris(sub)
+            found, keys = self._lookup(sub, col)
+            piece(conv.filter(found), order_iri.filter(found), REL + pred,
+                  _iri(ENT + kind, keys))
 
-        mask = pc.equal(m, "order_status")
-        if pc.any(mask).as_py():
-            cf, of = conv.filter(mask), order_iri.filter(mask)
-            piece(cf, of, REL + "status",
-                  pc.cast(batch["b"].filter(mask), pa.string()))
-            piece(cf, of, REL + "priority",
-                  pc.cast(batch["c"].filter(mask), pa.string()))
+        sub = _of_type(batch, "order_open")
+        if sub is not None:
+            link(sub, "cust_key", "cust:", "placedBy")
 
-        mask = pc.equal(m, "item")
-        if pc.any(mask).as_py():
-            cf, of = conv.filter(mask), order_iri.filter(mask)
-            pair = pc.binary_join_element_wise(
-                batch["a"].filter(mask), batch["b"].filter(mask), "|"
-            )
-            found, pk = self._resolve(pair, self._part_keys, self._part_vals)
-            piece(
-                cf.filter(found), of.filter(found),
-                REL + "hasPart", self._iri(ENT + "part:", pk),
-            )
-            found, sk = self._resolve(
-                batch["c"].filter(mask), self._supp_keys, self._supp_vals
-            )
-            piece(
-                cf.filter(found), of.filter(found),
-                REL + "suppliedBy", self._iri(ENT + "supp:", sk),
-            )
+        sub = _of_type(batch, "order_status")
+        if sub is not None:
+            conv, order_iri = _order_iris(sub)
+            piece(conv, order_iri, REL + "status", pc.cast(sub["b"], pa.string()))
+            piece(conv, order_iri, REL + "priority", pc.cast(sub["c"], pa.string()))
+
+        sub = _of_type(batch, "item")
+        if sub is not None:
+            link(sub, "part_key", "part:", "hasPart")
+            link(sub, "supp_key", "supp:", "suppliedBy")
 
         if not pieces:
             return _TRIPLES_SCHEMA.empty_table()
@@ -823,17 +521,13 @@ class EntityLinker:
         return out.group_by(_TRIPLES_SCHEMA.names).aggregate([])
 
     def _mention_rows_arrow(self, batch: pa.Table) -> pa.Table:
-        """Arrow twin of ``_mention_rows``: (conv_id, entity_iri) per
-        entity mention — the projection the entity aggregates consume."""
+        """(conv_id, entity_iri) per entity mention — exactly the object
+        multiset of the ``urn:rel:mentions`` quads, WITHOUT expanding the
+        7-quad-per-row table first (the entity-aggregate queries only
+        need this projection; ~3× less work and shuffle volume)."""
         if batch.num_rows == 0:
             return _MENTION_IRI_SCHEMA.empty_table()
-        conv, order_iri = self._order_iris(batch)
-        m = batch["mtype"]
-        pieces = [
-            pa.table({"conv_id": conv, "entity_iri": order_iri}).cast(
-                _MENTION_IRI_SCHEMA
-            )
-        ]
+        pieces = []
 
         def piece(conv_a, iri_a):
             pieces.append(
@@ -842,82 +536,54 @@ class EntityLinker:
                 )
             )
 
-        mask = pc.equal(m, "order_open")
-        if pc.any(mask).as_py():
-            cf = conv.filter(mask)
-            found, ck = self._resolve(
-                batch["a"].filter(mask), self._cust_keys, self._cust_vals
-            )
-            piece(cf.filter(found), self._iri(ENT + "cust:", ck))
+        def link(sub, col, kind):
+            conv = pc.cast(sub["conv_id"], pa.string())
+            found, keys = self._lookup(sub, col)
+            piece(conv.filter(found), _iri(ENT + kind, keys))
 
-        mask = pc.equal(m, "item")
-        if pc.any(mask).as_py():
-            cf = conv.filter(mask)
-            pair = pc.binary_join_element_wise(
-                batch["a"].filter(mask), batch["b"].filter(mask), "|"
-            )
-            found, pk = self._resolve(pair, self._part_keys, self._part_vals)
-            piece(cf.filter(found), self._iri(ENT + "part:", pk))
-            found, sk = self._resolve(
-                batch["c"].filter(mask), self._supp_keys, self._supp_vals
-            )
-            piece(cf.filter(found), self._iri(ENT + "supp:", sk))
-
+        piece(*_order_iris(batch))
+        sub = _of_type(batch, "order_open")
+        if sub is not None:
+            link(sub, "cust_key", "cust:")
+        sub = _of_type(batch, "item")
+        if sub is not None:
+            link(sub, "part_key", "part:")
+            link(sub, "supp_key", "supp:")
         return pa.concat_tables(pieces)
 
     def _links_arrow(self, batch: pa.Table) -> pa.Table:
-        """Arrow twin of ``_links``: scored surface→IRI link rows."""
+        """Scored link table: one row per entity mention surface with its
+        resolved IRI and an ambiguity score = 1 / |candidate set|."""
         if batch.num_rows == 0:
             return _LINKS_SCHEMA.empty_table()
-        conv = pc.cast(batch["conv_id"], pa.string())
-        m = batch["mtype"]
         pieces = []
 
-        def piece(conv_a, surf_a, iri_a, score_a):
+        def link(sub, col, kind, surface, score=None):
+            found, keys = self._lookup(sub, col)
+            if score is None:
+                score = pa.array(np.ones(sub.num_rows, np.float64))
             pieces.append(
                 pa.table(
                     {
-                        "conv_id": conv_a,
-                        "surface": surf_a,
-                        "entity_iri": iri_a,
-                        "score": score_a,
+                        "conv_id": pc.cast(sub["conv_id"], pa.string()).filter(found),
+                        "surface": pc.cast(surface, pa.string()).filter(found),
+                        "entity_iri": _iri(ENT + kind, keys),
+                        "score": pc.filter(score, found),
                     }
                 ).cast(_LINKS_SCHEMA)
             )
 
-        def ones(n):
-            return pa.array(np.ones(n, np.float64))
+        sub = _of_type(batch, "order_open")
+        if sub is not None:
+            link(sub, "cust_key", "cust:", sub["a"])
 
-        mask = pc.equal(m, "order_open")
-        if pc.any(mask).as_py():
-            cf = conv.filter(mask)
-            surf = pc.cast(batch["a"].filter(mask), pa.string())
-            found, ck = self._resolve(surf, self._cust_keys, self._cust_vals)
-            piece(
-                cf.filter(found), surf.filter(found),
-                self._iri(ENT + "cust:", ck), ones(len(ck)),
-            )
-
-        mask = pc.equal(m, "item")
-        if pc.any(mask).as_py():
-            cf = conv.filter(mask)
-            pair = pc.binary_join_element_wise(
-                batch["a"].filter(mask), batch["b"].filter(mask), "|"
-            )
-            idx = pc.index_in(pair, value_set=self._part_keys)
-            found = pc.is_valid(idx)
-            hit = pc.filter(idx, found)
-            piece(
-                cf.filter(found), pair.filter(found),
-                self._iri(ENT + "part:", pc.take(self._part_vals, hit)),
-                pc.divide(1.0, pc.take(self._part_cnts, hit)),
-            )
-            surf = pc.cast(batch["c"].filter(mask), pa.string())
-            found, sk = self._resolve(surf, self._supp_keys, self._supp_vals)
-            piece(
-                cf.filter(found), surf.filter(found),
-                self._iri(ENT + "supp:", sk), ones(len(sk)),
-            )
+        sub = _of_type(batch, "item")
+        if sub is not None:
+            cnt = pc.cast(self.resolve(sub, "part_cnt"), pa.float64())
+            link(sub, "part_key", "part:",
+                 pc.binary_join_element_wise(sub["a"], sub["b"], "|"),
+                 pc.divide(1.0, cnt))
+            link(sub, "supp_key", "supp:", sub["c"])
 
         if not pieces:
             return _LINKS_SCHEMA.empty_table()
