@@ -13,7 +13,8 @@ Layout:
     stages/      Ray Data batch/group transforms (canonicalize, dedup, …)
     sources/     N-Quads + Parquet readers/writers
     pipelines/   end-to-end pipelines (flagship KG build, analytics)
-    state/       lineage / resumability manifests
+    state/       persisted stores (store.py: build, publish, fingerprint,
+                 crash recovery), lineage / resumability, metrics
 """
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ import ray
 import ray.data as rd
 
 from ..stages.shuffle import grouped_agg, single_bucket_merge
+from ..state import store
 
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
@@ -1477,17 +1478,9 @@ def docs_by_source_jsonl(sf_dir: str) -> rd.Dataset:
     checked end to end."""
     from ..sources.jsonl import read_jsonl, write_jsonl_partitioned
 
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = f"/tmp/rcr_cache/{tag}/docs_jsonl_16"
-    if not (os.path.isdir(out_dir) and os.listdir(out_dir)):
-        write_jsonl_partitioned(
-            _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"]),
-            out_dir,
-            key_cols=["doc_id"],
-            num_buckets=16,
-            if_exists="skip",  # deterministic cache: races are benign
-        )
-    return _docs_by_source_ds(read_jsonl(out_dir))
+    return _docs_by_source_ds(
+        read_jsonl(_docs_interchange_cache(sf_dir, "jsonl", write_jsonl_partitioned))
+    )
 
 
 def docs_by_source_csv(sf_dir: str) -> rd.Dataset:
@@ -1496,17 +1489,31 @@ def docs_by_source_csv(sf_dir: str) -> rd.Dataset:
     value-hash checks the third interchange format end to end."""
     from ..sources.csv import read_csv, write_csv_partitioned
 
+    return _docs_by_source_ds(
+        read_csv(_docs_interchange_cache(sf_dir, "csv", write_csv_partitioned))
+    )
+
+
+def _docs_interchange_cache(sf_dir: str, fmt: str, write) -> str:
+    """The documents table written once per input fingerprint by the
+    partitioned ``write`` sink, cached under ``docs_<fmt>_16``."""
+    from .corpus import _input_fingerprint
+
     tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = f"/tmp/rcr_cache/{tag}/docs_csv_16"
-    if not (os.path.isdir(out_dir) and os.listdir(out_dir)):
-        write_csv_partitioned(
+
+    def build(tmp: str) -> None:
+        write(
             _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"]),
-            out_dir,
+            tmp,
             key_cols=["doc_id"],
             num_buckets=16,
-            if_exists="skip",  # deterministic cache: races are benign
         )
-    return _docs_by_source_ds(read_csv(out_dir))
+
+    return store.cached(
+        f"/tmp/rcr_cache/{tag}/docs_{fmt}_16",
+        _input_fingerprint(sf_dir, "documents"),
+        build,
+    )
 
 
 def _docs_by_source_ds(docs: rd.Dataset) -> rd.Dataset:

@@ -157,19 +157,6 @@ def conformance_summary(sf_dir: str = "") -> rd.Dataset:
     return rd.from_pandas(agg)
 
 
-def manifest_kind_counts() -> dict:
-    """Per-kind entry counts straight from the W3C manifest (drives the
-    conformance oracle's expected values)."""
-    counts: dict = {}
-    for e in _load_manifest():
-        kind = {
-            "rdfc:RDFC10EvalTest": "eval",
-            "rdfc:RDFC10MapTest": "map",
-        }.get(e["type"], "negative")
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts
-
-
 _EARL_PREFIXES = """\
 @prefix dc:   <http://purl.org/dc/terms/> .
 @prefix foaf: <http://xmlns.com/foaf/0.1/> .

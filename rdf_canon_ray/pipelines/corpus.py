@@ -14,7 +14,13 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..stages import dedup, multimodal, similarity, text, vhash, webtext
+from ..state import store
 from ..util import default_pool
+
+
+def _input_fingerprint(sf_dir: str, table: str) -> list:
+    """Stat fingerprint of one sf_dir table, for caches derived from it."""
+    return store.stat_files({table: os.path.join(sf_dir, f"{table}.parquet")})
 
 
 def _docs(sf_dir: str) -> rd.Dataset:
@@ -82,30 +88,23 @@ def _minhash_sig_cache(
         f"/tmp/rcr_cache/{tag}/"
         f"minhash_sigs_lt{split_id}_k{shingle_k}_p{n_perm}"
     )
-    if os.path.isdir(path) and os.listdir(path):
-        return path
-    tmp = path + ".tmp"
-    import shutil
 
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    old = _docs(sf_dir).map_batches(
-        lambda b: b[b["doc_id"] < split_id],
-        batch_format="pandas",
-        batch_size=32768,
-    )
-    old.map_batches(
-        functools.partial(
-            _minhash_batch, id_col="doc_id", text_col="text",
-            n_perm=n_perm, shingle_k=shingle_k, shingle_mode="char",
-        ),
-        batch_format="pandas",
-        batch_size=256,
-    ).write_parquet(tmp)
-    from ..util import atomic_publish_dir
+    def build(tmp: str) -> None:
+        old = _docs(sf_dir).map_batches(
+            lambda b: b[b["doc_id"] < split_id],
+            batch_format="pandas",
+            batch_size=32768,
+        )
+        old.map_batches(
+            functools.partial(
+                _minhash_batch, id_col="doc_id", text_col="text",
+                n_perm=n_perm, shingle_k=shingle_k, shingle_mode="char",
+            ),
+            batch_format="pandas",
+            batch_size=256,
+        ).write_parquet(tmp)
 
-    return atomic_publish_dir(tmp, path)
+    return store.cached(path, _input_fingerprint(sf_dir, "documents"), build)
 
 
 def dedup_incremental(
@@ -221,7 +220,13 @@ def ann_ivf_persisted(sf_dir: str, k: int = 10, n_probes: int = 6) -> rd.Dataset
     sf0.01 (asserted ≥ 0.9 in pytest; 4 probes sat at 0.88-0.91)."""
     tag = os.path.basename(os.path.normpath(sf_dir))
     index_dir = f"/tmp/rcr_cache/{tag}/ivf_index_16"
-    similarity.ivf_index_build(_embeddings(sf_dir), index_dir, n_lists=16)
+
+    def build(tmp: str) -> dict:
+        # the builder publishes inside tmp; its manifest fields carry over
+        similarity.ivf_index_build(_embeddings(sf_dir), tmp, n_lists=16)
+        return store.manifest(tmp)
+
+    store.cached(index_dir, _input_fingerprint(sf_dir, "embeddings"), build)
     return similarity.ivf_cosine_topk_persisted(
         index_dir, _query_vectors(sf_dir), k=k, n_probes=n_probes
     )

@@ -48,6 +48,7 @@ import ray.data as rd
 from ..stages.canonicalize import _cached_linker
 from ..stages.joins import hash_join
 from ..stages.shuffle import bucketed_map_groups, distinct, grouped_agg
+from ..state import store
 from ..transcripts.extract import extract_mentions_arrow
 from ..util import default_buckets
 from .kg import _link_batches, transcripts_parquet
@@ -77,11 +78,8 @@ def _corpus_tag(sf_dir: str) -> tuple:
     pair/adjacency/encoded entries stop matching (the zonemap
     fingerprint fix, applied to the in-memory caches)."""
     d = transcripts_parquet(sf_dir)
-    return tuple(
-        (n, st.st_size, st.st_mtime_ns)
-        for n in sorted(os.listdir(d))
-        for st in [os.stat(os.path.join(d, n))]
-    )
+    files = {n: os.path.join(d, n) for n in os.listdir(d)}
+    return tuple(map(tuple, store.stat_files(files)))
 
 
 def _cache_put(cache: dict, key: tuple, val):
@@ -106,8 +104,8 @@ def _adjacency_store_dir(
 
 
 def _persist_resident_graph(
-    store: str, enc: rd.Dataset, nodes: np.ndarray, deg: np.ndarray,
-    fingerprint: list,
+    store_dir: str, enc: rd.Dataset, nodes: np.ndarray, deg: np.ndarray,
+    fingerprint: dict,
 ) -> None:
     """Write the ENCODED adjacency + dense-id node table to disk (the
     ``canonical_store`` pattern): packing the co-mention graph is 3
@@ -115,63 +113,41 @@ def _persist_resident_graph(
     graph query; the persisted artifact makes a cold-session
     pagerank/BFS iterations-only.  Layout: ``adjacency/`` parquet of
     (code int64, srcs list<int>), ``nodes.parquet`` with row i = dense
-    id i, ``_adj.json`` manifest keyed on the transcript-corpus
-    fingerprint (size+mtime of every cache file — a regenerated corpus
-    rebuilds instead of serving stale edges)."""
-    import json
-    import shutil
+    id i; the manifest's fingerprint is ``_adjacency_fingerprint`` (a
+    regenerated corpus rebuilds instead of serving stale edges) and its
+    ``n`` field the node count."""
 
-    from ..util import atomic_publish_dir
-
-    tmp = store + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(os.path.join(tmp, "adjacency"), exist_ok=True)
-    enc.write_parquet(os.path.join(tmp, "adjacency"))
-    pd.DataFrame({"node": nodes, "deg": deg}).to_parquet(
-        os.path.join(tmp, "nodes.parquet")
-    )
-    with open(os.path.join(tmp, "_adj.json"), "w") as f:
-        json.dump(
-            {"v": _ADJ_STORE_V, "fingerprint": fingerprint,
-             "n": int(len(nodes))}, f,
+    def build(tmp: str) -> dict:
+        enc.write_parquet(os.path.join(tmp, "adjacency"))
+        pd.DataFrame({"node": nodes, "deg": deg}).to_parquet(
+            os.path.join(tmp, "nodes.parquet")
         )
-    if os.path.isdir(store):
-        shutil.rmtree(store)  # stale fingerprint loses (scratch cache)
-    atomic_publish_dir(tmp, store)
+        return {"n": int(len(nodes))}
+
+    store.publish(store_dir, build, fingerprint)
 
 
-def _load_resident_graph(store: str, fingerprint: list, threshold: int):
+def _adjacency_fingerprint(sf_dir: str) -> dict:
+    """Store layout version + the transcript-corpus stat fingerprint."""
+    return {"v": _ADJ_STORE_V, "corpus": [list(t) for t in _corpus_tag(sf_dir)]}
+
+
+def _load_resident_graph(store_dir: str, fingerprint: dict, threshold: int):
     """(enc, nodes, deg) from a fingerprint-matching on-disk store, the
     sentinel ``"gate"`` when the store says the graph exceeds the
     broadcast threshold (callers skip straight to the partitioned path
     without packing), or None when there is no usable store."""
-    import json
-
-    mf = os.path.join(store, "_adj.json")
-    if not os.path.isfile(mf):
-        return None
-    try:
-        with open(mf) as f:
-            manifest = json.load(f)
-    except (json.JSONDecodeError, OSError):
-        # truncated/unreadable manifest (e.g. a crash mid-write before
-        # the atomic publish existed) — treat as no usable store and
-        # rebuild rather than poisoning every graph query
-        return None
-    if (
-        manifest.get("v") != _ADJ_STORE_V
-        or manifest.get("fingerprint") != fingerprint
-    ):
+    manifest = store.manifest(store_dir)
+    if manifest is None or manifest["fingerprint"] != fingerprint:
         return None
     if manifest["n"] > threshold:
         return "gate"
-    if not os.path.isfile(os.path.join(store, "nodes.parquet")):
+    if not os.path.isfile(os.path.join(store_dir, "nodes.parquet")):
         # gate-only manifest (written when the graph exceeded a smaller
         # threshold): no data to load — rebuild under this threshold
         return None
-    ndf = pd.read_parquet(os.path.join(store, "nodes.parquet"))
-    enc = rd.read_parquet(os.path.join(store, "adjacency")).materialize()
+    ndf = pd.read_parquet(os.path.join(store_dir, "nodes.parquet"))
+    enc = rd.read_parquet(os.path.join(store_dir, "adjacency")).materialize()
     return (
         enc,
         ndf["node"].to_numpy(),
@@ -191,13 +167,13 @@ def _resident_graph(
     packed+encoded graph back instead of re-running the 3-exchange
     build).  Returns None above the node gate (callers fall back to
     their partitioned mode)."""
-    fingerprint = [list(t) for t in _corpus_tag(sf_dir)]
     key = (os.path.abspath(sf_dir), max_conv_entities, _corpus_tag(sf_dir))
     hit = _ENC_CACHE.get(key)
     if hit is not None:
         return hit if len(hit[1]) <= broadcast_threshold else None
-    store = _adjacency_store_dir(sf_dir, max_conv_entities)
-    loaded = _load_resident_graph(store, fingerprint, broadcast_threshold)
+    fingerprint = _adjacency_fingerprint(sf_dir)
+    store_dir = _adjacency_store_dir(sf_dir, max_conv_entities)
+    loaded = _load_resident_graph(store_dir, fingerprint, broadcast_threshold)
     if loaded == "gate":
         return None
     if loaded is not None:
@@ -208,28 +184,12 @@ def _resident_graph(
     if n > broadcast_threshold:
         # persist the gate decision too: the next cold session skips the
         # pack entirely instead of re-building just to re-decide
-        import json
-        import shutil
-
-        from ..util import atomic_publish_dir
-
-        tmp = store + ".tmp"
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp, exist_ok=True)
-        with open(os.path.join(tmp, "_adj.json"), "w") as f:
-            json.dump(
-                {"v": _ADJ_STORE_V, "fingerprint": fingerprint,
-                 "n": int(n)}, f,
-            )
-        if os.path.isdir(store):
-            shutil.rmtree(store)  # never leave stale data under a new tag
-        atomic_publish_dir(tmp, store)
+        store.publish(store_dir, lambda tmp: {"n": int(n)}, fingerprint)
         return None
     deg_df = adj.select_columns(["node", "deg"]).to_pandas()
     rg = _encoded_adjacency(adj, deg_df)
     _cache_put(_ENC_CACHE, key, rg)
-    _persist_resident_graph(store, rg[0], rg[1], rg[2], fingerprint)
+    _persist_resident_graph(store_dir, rg[0], rg[1], rg[2], fingerprint)
     return rg
 
 
@@ -331,6 +291,12 @@ def _conv_pairs_expanded(
     return out
 
 
+def _empty_pairs() -> pd.DataFrame:
+    return pd.DataFrame(
+        {"c1": pd.Series([], dtype=np.int64), "c2": pd.Series([], dtype=np.int64)}
+    )
+
+
 def _expand_conv_pairs(
     bucket: pd.DataFrame, max_conv_entities: Optional[int]
 ) -> pd.DataFrame:
@@ -371,12 +337,7 @@ def _expand_conv_pairs(
         az.append(seg[iu_ju[0]])
         bz.append(seg[iu_ju[1]])
     if not az:
-        return pd.DataFrame(
-            {
-                "c1": pd.Series([], dtype=np.int64),
-                "c2": pd.Series([], dtype=np.int64),
-            }
-        )
+        return _empty_pairs()
     return pd.DataFrame(
         {"c1": np.concatenate(az), "c2": np.concatenate(bz)}
     ).drop_duplicates()
@@ -426,6 +387,19 @@ def _partition_pairs(path: str, maps_ref) -> pd.DataFrame:
     return _expand_conv_pairs(_encode_mentions(ments), None)
 
 
+def _partition_pairs_batches(maps_ref):
+    """Batch fn: part file paths → their distinct (c1, c2) pairs.  Loops
+    over EVERY descriptor row (operator fusion can bundle the 1-row
+    descriptors; an iloc[0]-only read would silently drop the other
+    buckets' pairs); an empty batch gives an empty typed frame."""
+
+    def process(batch: pd.DataFrame) -> pd.DataFrame:
+        out = [_partition_pairs(p, maps_ref) for p in batch["path"]]
+        return pd.concat(out, ignore_index=True) if out else _empty_pairs()
+
+    return process
+
+
 def comention_store(
     sf_dir: str,
     num_buckets: int = 128,
@@ -439,10 +413,6 @@ def comention_store(
     corpus-content fingerprint.  At 100 TB this is the standing edge
     table next to the conversation log — a graph refresh touches only
     the delta buckets (VERDICT r04 #6)."""
-    import json
-    import shutil
-
-    from ..util import atomic_publish_dir
     from .kg import (
         _link_maps_ref,
         _partition_paths,
@@ -456,49 +426,39 @@ def comention_store(
     root = transcripts_parquet_partitioned(sf_dir, num_buckets)
     parts = _partition_paths(root)
     base = {b: p for b, p in parts.items() if b % delta_mod != 0}
-    from ..util import partition_fingerprint, store_is_fresh
 
-    fingerprint = partition_fingerprint(base)
-    if store_is_fresh(out_dir, "_store.json", fingerprint):
-        return out_dir
-    tmp = out_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
-    maps_ref = _link_maps_ref(sf_dir)
+    def build(tmp: str) -> None:
+        maps_ref = _link_maps_ref(sf_dir)
 
-    def build_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow.parquet as pq
+        def build_bucket(batch: pd.DataFrame) -> pd.DataFrame:
+            import pyarrow.parquet as pq
 
-        # loop over every descriptor row: fusion may bundle the 1-row
-        # descriptors (standing trap) — an iloc[0]-only read would
-        # silently skip the other buckets in the bundle
-        bs, ns = [], []
-        for path, b in zip(batch["path"], batch["bucket"]):
-            pairs = _partition_pairs(path, maps_ref)
-            pdir = os.path.join(tmp, f"part={int(b)}")
-            os.makedirs(pdir, exist_ok=True)
-            pq.write_table(
-                pa.Table.from_pandas(pairs, preserve_index=False),
-                os.path.join(pdir, "data.parquet"),
+            # loop over every descriptor row: fusion may bundle the 1-row
+            # descriptors (standing trap) — an iloc[0]-only read would
+            # silently skip the other buckets in the bundle
+            bs, ns = [], []
+            for path, b in zip(batch["path"], batch["bucket"]):
+                pairs = _partition_pairs(path, maps_ref)
+                pdir = os.path.join(tmp, f"part={int(b)}")
+                os.makedirs(pdir, exist_ok=True)
+                pq.write_table(
+                    pa.Table.from_pandas(pairs, preserve_index=False),
+                    os.path.join(pdir, "data.parquet"),
+                )
+                bs.append(int(b))
+                ns.append(len(pairs))
+            return pd.DataFrame({"bucket": bs, "rows": ns})
+
+        (
+            rd.from_items(
+                [{"path": p, "bucket": b} for b, p in sorted(base.items())],
+                override_num_blocks=max(1, len(base)),
             )
-            bs.append(int(b))
-            ns.append(len(pairs))
-        return pd.DataFrame({"bucket": bs, "rows": ns})
-
-    (
-        rd.from_items(
-            [{"path": p, "bucket": b} for b, p in sorted(base.items())],
-            override_num_blocks=max(1, len(base)),
+            .map_batches(build_bucket, batch_format="pandas", batch_size=1)
+            .count()
         )
-        .map_batches(build_bucket, batch_format="pandas", batch_size=1)
-        .count()
-    )
-    with open(os.path.join(tmp, "_store.json"), "w") as f:
-        json.dump({"fingerprint": fingerprint}, f)
-    if os.path.isdir(out_dir):
-        shutil.rmtree(out_dir)
-    return atomic_publish_dir(tmp, out_dir)
+
+    return store.cached(out_dir, store.stat_files(base), build)
 
 
 def comention_incremental(
@@ -525,19 +485,14 @@ def comention_incremental(
         for b, p in _partition_paths(root).items()
         if b % delta_mod == 0
     }
-    maps_ref = _link_maps_ref(sf_dir)
-
-    def delta_pairs(batch: pd.DataFrame) -> pd.DataFrame:
-        # loop over EVERY descriptor row: operator fusion can bundle the
-        # 1-row descriptors into larger batches (standing trap), and an
-        # iloc[0]-only read would silently drop the other buckets' pairs
-        out = [_partition_pairs(p, maps_ref) for p in batch["path"]]
-        return pd.concat(out, ignore_index=True) if len(out) > 1 else out[0]
-
     delta_ds = rd.from_items(
         [{"path": p} for _, p in sorted(delta.items())],
         override_num_blocks=max(1, len(delta)),
-    ).map_batches(delta_pairs, batch_format="pandas", batch_size=1)
+    ).map_batches(
+        _partition_pairs_batches(_link_maps_ref(sf_dir)),
+        batch_format="pandas",
+        batch_size=1,
+    )
 
     def ident(batch: pd.DataFrame) -> pd.DataFrame:
         # pandas identity on the parquet side: a parquet-read dataset

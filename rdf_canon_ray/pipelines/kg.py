@@ -39,7 +39,12 @@ from ..transcripts.extract import (
     build_link_maps,
     extract_mentions_arrow,
 )
-from ..transcripts.gen import build_transcripts, transcripts_parquet
+from ..state import store
+from ..transcripts.gen import (
+    build_transcripts,
+    source_fingerprint,
+    transcripts_parquet,
+)
 from ..util import default_buckets
 
 # Driver-side serial floor: the dimension-table reads behind
@@ -341,15 +346,6 @@ def scaled_transcripts_parquet(
     import pandas as pd
 
     tag = os.path.basename(os.path.normpath(sf_dir)) + f"x{factor}"
-    out_dir = os.path.join(cache_root, tag, "transcripts")
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        return out_dir
-    tmp_dir = out_dir + ".tmp"
-    import shutil
-
-    if os.path.isdir(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    os.makedirs(os.path.dirname(out_dir), exist_ok=True)
 
     def dup(batch: pd.DataFrame) -> pd.DataFrame:
         outs = [batch]
@@ -359,14 +355,13 @@ def scaled_transcripts_parquet(
             outs.append(b)
         return pd.concat(outs, ignore_index=True)
 
-    (
-        rd.read_parquet(transcripts_parquet(sf_dir, cache_root))
+    return store.cached(
+        os.path.join(cache_root, tag, "transcripts"),
+        {"factor": factor, "input": source_fingerprint(sf_dir)},
+        lambda tmp: rd.read_parquet(transcripts_parquet(sf_dir, cache_root))
         .map_batches(dup, batch_format="pandas", batch_size=32768)
-        .write_parquet(tmp_dir)
+        .write_parquet(tmp),
     )
-    from ..util import atomic_publish_dir
-
-    return atomic_publish_dir(tmp_dir, out_dir)
 
 
 def transcripts_parquet_partitioned(
@@ -388,42 +383,42 @@ def transcripts_parquet_partitioned(
     if factor > 1:
         tag += f"x{factor}"
     out_dir = os.path.join(cache_root, tag, f"transcripts_by_conv_{num_buckets}")
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        return out_dir
-    tmp = out_dir + ".tmp"
-    import shutil
 
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
+    def build(tmp: str) -> None:
+        def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+            b = int(group["_bucket"].iloc[0])
+            pdir = os.path.join(tmp, f"part={b}")
+            os.makedirs(pdir, exist_ok=True)
+            group.drop(columns=["_bucket"]).to_parquet(
+                os.path.join(pdir, "data.parquet"), index=False
+            )
+            return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
 
-    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["_bucket"].iloc[0])
-        pdir = os.path.join(tmp, f"part={b}")
-        os.makedirs(pdir, exist_ok=True)
-        group.drop(columns=["_bucket"]).to_parquet(
-            os.path.join(pdir, "data.parquet"), index=False
+        source = (
+            rd.read_parquet(scaled_transcripts_parquet(sf_dir, factor, cache_root))
+            if factor > 1
+            else build_transcripts(sf_dir)
         )
-        return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
-
-    source = (
-        rd.read_parquet(scaled_transcripts_parquet(sf_dir, factor, cache_root))
-        if factor > 1
-        else build_transcripts(sf_dir)
-    )
-    (
-        source.map_batches(
-            lambda b: add_bucket(b, ["conv_id"], num_buckets),
-            batch_format="pandas",
-            batch_size=32768,
+        (
+            source.map_batches(
+                lambda b: add_bucket(b, ["conv_id"], num_buckets),
+                batch_format="pandas",
+                batch_size=32768,
+            )
+            .groupby("_bucket")
+            .map_groups(write_bucket, batch_format="pandas")
+            .count()
         )
-        .groupby("_bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .count()
-    )
-    from ..util import atomic_publish_dir
 
-    return atomic_publish_dir(tmp, out_dir)
+    return store.cached(
+        out_dir,
+        {
+            "num_buckets": num_buckets,
+            "factor": factor,
+            "input": source_fingerprint(sf_dir),
+        },
+        build,
+    )
 
 
 def _canonicalize_part_files(
@@ -513,8 +508,6 @@ def canonical_store(
     refresh.  At 100 TB this is the standing canonical corpus next to
     the conversation log; the delta buckets play 'newly arrived
     conversations'."""
-    import json
-
     import pandas as pd
 
     tag = os.path.basename(os.path.normpath(sf_dir))
@@ -523,64 +516,44 @@ def canonical_store(
     out_dir = os.path.join(
         cache_root, tag, f"canon_store_{num_buckets}_d{delta_mod}_{hash_name}"
     )
-    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
+    root = transcripts_parquet_partitioned(sf_dir, num_buckets, cache_root)
     parts = _partition_paths(root)
     base = {b: p for b, p in parts.items() if b % delta_mod != 0}
-    # input fingerprint (the zonemap/_corpus_tag staleness pattern):
-    # (bucket, size, mtime) of every BASE partition file — metadata-only.
-    # If the partitioned transcript layout is rebuilt in place, the
-    # surviving store dir no longer matches and is rebuilt instead of
-    # silently feeding a stale base into the incremental merge.
-    from ..util import partition_fingerprint, store_is_fresh
 
-    fingerprint = partition_fingerprint(base)
-    if store_is_fresh(out_dir, "_store.json", fingerprint):
-        return out_dir
-    tmp = out_dir + ".tmp"
-    import shutil
+    def build(tmp: str) -> None:
+        process = _canonicalize_part_files(_link_maps_ref(sf_dir), hash_name, None)
 
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
-    process = _canonicalize_part_files(_link_maps_ref(sf_dir), hash_name, None)
+        def build_bucket(batch: pd.DataFrame) -> pd.DataFrame:
+            import pyarrow.parquet as pq
 
-    def build_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow.parquet as pq
+            # one store partition PER descriptor row: operator fusion can
+            # bundle the 1-row descriptors (standing trap) — writing a
+            # bundled batch under iloc[0]'s bucket would mislabel (and at
+            # merge time lose) every other bucket in the bundle
+            bs, ns = [], []
+            for i in range(len(batch)):
+                rows = process(batch.iloc[i : i + 1])  # pa.Table
+                b = int(batch["bucket"].iloc[i])
+                pdir = os.path.join(tmp, f"part={b}")
+                os.makedirs(pdir, exist_ok=True)
+                pq.write_table(rows, os.path.join(pdir, "data.parquet"))
+                bs.append(b)
+                ns.append(rows.num_rows)
+            return pd.DataFrame({"bucket": bs, "rows": ns})
 
-        # one store partition PER descriptor row: operator fusion can
-        # bundle the 1-row descriptors (standing trap) — writing a
-        # bundled batch under iloc[0]'s bucket would mislabel (and at
-        # merge time lose) every other bucket in the bundle
-        bs, ns = [], []
-        for i in range(len(batch)):
-            rows = process(batch.iloc[i : i + 1])  # pa.Table
-            b = int(batch["bucket"].iloc[i])
-            pdir = os.path.join(tmp, f"part={b}")
-            os.makedirs(pdir, exist_ok=True)
-            pq.write_table(rows, os.path.join(pdir, "data.parquet"))
-            bs.append(b)
-            ns.append(rows.num_rows)
-        return pd.DataFrame({"bucket": bs, "rows": ns})
-
-    (
-        rd.from_items(
-            [{"path": p, "bucket": b} for b, p in sorted(base.items())],
-            override_num_blocks=max(1, len(base)),
+        (
+            rd.from_items(
+                [{"path": p, "bucket": b} for b, p in sorted(base.items())],
+                override_num_blocks=max(1, len(base)),
+            )
+            .map_batches(build_bucket, batch_format="pandas", batch_size=1)
+            .count()
         )
-        .map_batches(build_bucket, batch_format="pandas", batch_size=1)
-        .count()
-    )
-    with open(os.path.join(tmp, "_store.json"), "w") as f:
-        json.dump({"fingerprint": fingerprint, "hash": hash_name}, f)
-    from ..util import atomic_publish_dir
 
-    if os.path.isdir(out_dir):
-        # stale (or pre-fingerprint legacy) layout in place:
-        # atomic_publish_dir deliberately lets an existing dir win, so
-        # remove the loser first.  Single-driver scratch cache — the
-        # brief gap is acceptable (same reasoning as zone_export).
-        shutil.rmtree(out_dir)
-    return atomic_publish_dir(tmp, out_dir)
+    # fingerprinted on the BASE partition files themselves: a layout
+    # rewritten in place invalidates the store instead of feeding a
+    # stale base into the incremental merge
+    return store.cached(out_dir, store.stat_files(base), build)
 
 
 def _canonical_delta(

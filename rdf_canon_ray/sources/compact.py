@@ -12,7 +12,8 @@ directory's files into ~``target_bytes`` outputs:
 * input order is preserved (files are planned in sorted name order,
   row groups in file order), so order-dependent layouts (e.g. the
   sorted zone-map export) stay sorted;
-* the output directory publishes atomically (``atomic_publish_dir``).
+* the output directory is published through ``state.store``; a
+  non-empty ``dst`` is refused, like the other sinks.
 
 This is one of the few places raw ``ray.remote`` tasks are the right
 tool: the unit of work is "exactly these N files → one output file",
@@ -27,7 +28,7 @@ from typing import List
 import pyarrow.parquet as pq
 import ray
 
-from ..util import atomic_publish_dir
+from ..state import store
 
 
 def plan_groups(src: str, target_bytes: int) -> List[List[str]]:
@@ -79,22 +80,26 @@ def compact_dir(
     sidecars (manifests, indexes) are NOT copied — compaction changes
     file boundaries, so per-file metadata must be rebuilt by the layout
     that owns it."""
-    groups = plan_groups(src, target_bytes)
-    tmp = dst + ".tmp"
-    import shutil
-
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
-    width = len(str(max(len(groups) - 1, 0)))
-    futs = [
-        _merge_group.remote(
-            src, g, os.path.join(tmp, f"part-{i:0{width}d}.parquet")
+    if os.path.isdir(dst) and os.listdir(dst):
+        raise FileExistsError(
+            f"compact_dir: {dst} already exists and is non-empty — "
+            "remove it (or write elsewhere) first"
         )
-        for i, g in enumerate(groups)
-    ]
-    rows = sum(ray.get(futs))
-    atomic_publish_dir(tmp, dst)
+    groups = plan_groups(src, target_bytes)
+    width = len(str(max(len(groups) - 1, 0)))
+    rows = 0
+
+    def build(tmp: str) -> None:
+        nonlocal rows
+        futs = [
+            _merge_group.remote(
+                src, g, os.path.join(tmp, f"part-{i:0{width}d}.parquet")
+            )
+            for i, g in enumerate(groups)
+        ]
+        rows = sum(ray.get(futs))
+
+    store.publish(dst, build)
     return {
         "files_in": sum(len(g) for g in groups),
         "files_out": len(groups),

@@ -1,7 +1,7 @@
 """CSV source/sink — the lowest-common-denominator interchange format.
 
 Same partitioned-sink doctrine as ``sources.jsonl``: hash-partitioned
-layout (``part=N/data.csv``), atomic tmp-dir publish, partition
+layout (``part=N/data.csv``), published through ``state.store``, partition
 contents a pure function of the key so reruns and consumers address
 partitions deterministically regardless of input block order.
 
@@ -13,12 +13,12 @@ type inference must not guess (e.g. zero-padded id strings).
 from __future__ import annotations
 
 import os
-import shutil
 
 import pandas as pd
 import ray.data as rd
 
 from ..stages.shuffle import add_bucket
+from ..state import store
 
 
 def write_csv_partitioned(
@@ -26,49 +26,39 @@ def write_csv_partitioned(
     out_dir: str,
     key_cols: list[str],
     num_buckets: int = 64,
-    if_exists: str = "error",
 ) -> str:
-    """Write ``ds`` as hash-partitioned CSV under ``out_dir`` (atomic:
-    tmp dir + rename).  Rows land in ``part=hash(key) % num_buckets``
-    and are key-sorted inside each part, so the layout is independent
-    of input block order.  ``if_exists``: ``"error"`` or ``"skip"``
-    (deterministic-cache callers)."""
-    if if_exists not in ("error", "skip"):
-        raise ValueError(f"if_exists must be 'error' or 'skip', got {if_exists!r}")
+    """Write ``ds`` as hash-partitioned CSV under ``out_dir``, published
+    through ``state.store`` (a non-empty ``out_dir`` is refused).  Rows
+    land in ``part=hash(key) % num_buckets`` and are key-sorted inside
+    each part, so the layout is independent of input block order."""
     if os.path.isdir(out_dir) and os.listdir(out_dir):
-        if if_exists == "skip":
-            return out_dir
         raise FileExistsError(
             f"write_csv_partitioned: {out_dir} already exists and is "
             "non-empty — remove it (or write elsewhere) first"
         )
-    tmp = out_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
 
-    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["_bucket"].iloc[0])
-        pdir = os.path.join(tmp, f"part={b}")
-        os.makedirs(pdir, exist_ok=True)
-        group.drop(columns=["_bucket"]).sort_values(
-            key_cols, kind="mergesort"
-        ).to_csv(os.path.join(pdir, "data.csv"), index=False)
-        return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
+    def build(tmp: str) -> None:
+        def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+            b = int(group["_bucket"].iloc[0])
+            pdir = os.path.join(tmp, f"part={b}")
+            os.makedirs(pdir, exist_ok=True)
+            group.drop(columns=["_bucket"]).sort_values(
+                key_cols, kind="mergesort"
+            ).to_csv(os.path.join(pdir, "data.csv"), index=False)
+            return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
 
-    (
-        ds.map_batches(
-            lambda b: add_bucket(b, key_cols, num_buckets),
-            batch_format="pandas",
-            batch_size=32768,
+        (
+            ds.map_batches(
+                lambda b: add_bucket(b, key_cols, num_buckets),
+                batch_format="pandas",
+                batch_size=32768,
+            )
+            .groupby("_bucket")
+            .map_groups(write_bucket, batch_format="pandas")
+            .count()
         )
-        .groupby("_bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .count()
-    )
-    from ..util import atomic_publish_dir
 
-    return atomic_publish_dir(tmp, out_dir)
+    return store.publish(out_dir, build)
 
 
 def read_csv(path: str, schema_overrides=None) -> rd.Dataset:

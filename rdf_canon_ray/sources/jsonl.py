@@ -2,7 +2,7 @@
 corpora usually arrive in before parquet conversion.
 
 Writer: hash-partitioned layout (``part=N/data.jsonl``, one ingest-time
-shuffle) with an atomic tmp-dir rename — the same resumable-output
+shuffle) published through ``state.store`` — the same resumable-output
 doctrine as the parquet sinks: partition contents are a pure function of
 the key, independent of block order, so reruns and consumers can address
 partitions deterministically.
@@ -15,12 +15,12 @@ schema inferred per block.
 from __future__ import annotations
 
 import os
-import shutil
 
 import pandas as pd
 import ray.data as rd
 
 from ..stages.shuffle import add_bucket
+from ..state import store
 
 
 def write_jsonl_partitioned(
@@ -28,58 +28,46 @@ def write_jsonl_partitioned(
     out_dir: str,
     key_cols: list[str],
     num_buckets: int = 64,
-    if_exists: str = "error",
 ) -> str:
-    """Write ``ds`` as hash-partitioned JSONL under ``out_dir`` (atomic:
-    written to a tmp dir, renamed on success).  Rows land in
+    """Write ``ds`` as hash-partitioned JSONL under ``out_dir``,
+    published through ``state.store``.  Rows land in
     ``part=hash(key) % num_buckets`` regardless of input block order.
-
-    ``if_exists``: ``"error"`` (default — a sink must never silently
-    leave old data in place of what it claims to have written) or
-    ``"skip"`` for deterministic-cache callers, where an existing
-    non-empty target is the SAME content and concurrent builders may
-    race benignly (the atomic publish resolves the race)."""
-    if if_exists not in ("error", "skip"):
-        raise ValueError(f"if_exists must be 'error' or 'skip', got {if_exists!r}")
+    A non-empty ``out_dir`` is refused: a sink must never silently
+    leave old data in place of what it claims to have written (cache
+    callers wrap the sink in ``store.cached``)."""
     if os.path.isdir(out_dir) and os.listdir(out_dir):
-        if if_exists == "skip":
-            return out_dir
         raise FileExistsError(
             f"write_jsonl_partitioned: {out_dir} already exists and is "
             "non-empty — remove it (or write elsewhere) first"
         )
-    tmp = out_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
 
-    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["_bucket"].iloc[0])
-        pdir = os.path.join(tmp, f"part={b}")
-        os.makedirs(pdir, exist_ok=True)
-        group.drop(columns=["_bucket"]).sort_values(
-            key_cols, kind="mergesort"
-        ).to_json(
-            os.path.join(pdir, "data.jsonl"),
-            orient="records",
-            lines=True,
-            force_ascii=False,
+    def build(tmp: str) -> None:
+        def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+            b = int(group["_bucket"].iloc[0])
+            pdir = os.path.join(tmp, f"part={b}")
+            os.makedirs(pdir, exist_ok=True)
+            group.drop(columns=["_bucket"]).sort_values(
+                key_cols, kind="mergesort"
+            ).to_json(
+                os.path.join(pdir, "data.jsonl"),
+                orient="records",
+                lines=True,
+                force_ascii=False,
+            )
+            return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
+
+        (
+            ds.map_batches(
+                lambda b: add_bucket(b, key_cols, num_buckets),
+                batch_format="pandas",
+                batch_size=32768,
+            )
+            .groupby("_bucket")
+            .map_groups(write_bucket, batch_format="pandas")
+            .count()
         )
-        return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
 
-    (
-        ds.map_batches(
-            lambda b: add_bucket(b, key_cols, num_buckets),
-            batch_format="pandas",
-            batch_size=32768,
-        )
-        .groupby("_bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .count()
-    )
-    from ..util import atomic_publish_dir
-
-    return atomic_publish_dir(tmp, out_dir)
+    return store.publish(out_dir, build)
 
 
 def read_jsonl(path: str) -> rd.Dataset:

@@ -11,7 +11,7 @@ granularity so the pruning decision costs one small JSON read instead
 of touching every footer.
 
 * ``zone_export(ds, path, key)`` — sort, write, stat each file's
-  footer (no data read), publish atomically with the manifest.
+  footer (no data read), publish with the zones in the manifest.
 * ``zone_read(path, lo, hi)``   — prune via manifest, exact residual
   filter inside ``map_batches`` (file zones overlap at the edges, so
   the filter is REQUIRED for exactness; pruned/total file counts are
@@ -23,7 +23,6 @@ timestamp axes and as-is for integer axes.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Tuple
 
@@ -32,10 +31,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..state import metrics
-from ..util import atomic_publish_dir
-
-_MANIFEST = "_zonemap.json"
+from ..state import metrics, store
 
 
 def _key_to_int(v) -> int:
@@ -56,94 +52,57 @@ def zone_export(
     ds: rd.Dataset, path: str, key: str, input_tag: str | None = None
 ) -> str:
     """Globally sort ``ds`` on ``key`` and publish it as a pruned-read
-    layout: Parquet files + a ``_zonemap.json`` manifest of each file's
-    [min, max] key (taken from the Parquet footer statistics — no data
-    pages are read).  Idempotent per (path, input): the manifest
-    records an input fingerprint (``input_tag`` if given, else row
-    count + schema) and a changed input REBUILDS the layout instead of
-    silently serving the stale sorted copy.  Atomic publish.
+    layout (``state.store``): Parquet files + a manifest whose ``zones``
+    hold each file's [min, max] key (taken from the Parquet footer
+    statistics — no data pages are read).  Idempotent per (path,
+    input): the manifest fingerprint is ``input_tag`` if given, else
+    row count + schema, and a changed input REBUILDS the layout instead
+    of silently serving the stale sorted copy.
 
     Cost note: pass ``input_tag`` whenever the caller can fingerprint
     its input cheaply (file sizes/mtimes, a corpus tag…).  Without it
-    the staleness check falls back to ``ds.count()``, which executes
-    the full input pipeline on EVERY call — even when the manifest
-    already matches, because row count is the only evidence we have.
-    The manifest-missing path never pays it: a fresh build computes
-    the fingerprint once, after deciding to build."""
-    mf = os.path.join(path, _MANIFEST)
-    # crash recovery: a rebuild swap that died between renames leaves
-    # the last good layout at path+'.stale' — restore it before the
-    # fingerprint check decides whether a rebuild is still needed
-    stale = path + ".stale"
-    if not os.path.isdir(path) and os.path.isdir(stale):
-        os.rename(stale, path)
+    the fingerprint is ``ds.count()``, which executes the full input
+    pipeline on EVERY call — even when the manifest already matches,
+    because row count is the only evidence we have.  It is computed
+    exactly once per call."""
+    if input_tag is not None:
+        fingerprint = input_tag
+    else:
+        fingerprint = f"{ds.count()}|{','.join(sorted(ds.schema().names))}"
 
-    def _fingerprint() -> str:
-        if input_tag is not None:
-            return input_tag
-        return f"{ds.count()}|{','.join(sorted(ds.schema().names))}"
+    def build(tmp: str) -> dict:
+        ds.sort(key).write_parquet(tmp)
+        zones = []
+        for name in sorted(os.listdir(tmp)):
+            if not name.endswith(".parquet"):
+                continue
+            md = pq.read_metadata(os.path.join(tmp, name))
+            fmin, fmax = None, None
+            idx = md.schema.to_arrow_schema().get_field_index(key)
+            for rg in range(md.num_row_groups):
+                st = md.row_group(rg).column(idx).statistics
+                if st is None or not st.has_min_max:  # pragma: no cover
+                    raise ValueError(f"no statistics for {key} in {name}")
+                lo, hi = _key_to_int(st.min), _key_to_int(st.max)
+                fmin = lo if fmin is None else min(fmin, lo)
+                fmax = hi if fmax is None else max(fmax, hi)
+            if fmin is not None:
+                zones.append({"file": name, "min": fmin, "max": fmax})
+        return {"key": key, "zones": zones}
 
-    fingerprint: str | None = None
-    if os.path.isdir(path) and os.path.isfile(mf):
-        with open(mf) as f:
-            existing = json.load(f)
-        # cheap hit path: with an input_tag the comparison costs nothing;
-        # without one the count-based fingerprint is computed only here,
-        # where there is an existing layout whose staleness must be judged
-        fingerprint = _fingerprint()
-        if existing.get("fingerprint") == fingerprint:
-            return path
-    if fingerprint is None:
-        fingerprint = _fingerprint()
-    tmp = path + ".tmp"
-    import shutil
+    return store.cached(path, fingerprint, build)
 
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    ds.sort(key).write_parquet(tmp)
-    zones = []
-    for name in sorted(os.listdir(tmp)):
-        if not name.endswith(".parquet"):
-            continue
-        md = pq.read_metadata(os.path.join(tmp, name))
-        fmin, fmax = None, None
-        idx = md.schema.to_arrow_schema().get_field_index(key)
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is None or not st.has_min_max:  # pragma: no cover
-                raise ValueError(f"no statistics for {key} in {name}")
-            lo, hi = _key_to_int(st.min), _key_to_int(st.max)
-            fmin = lo if fmin is None else min(fmin, lo)
-            fmax = hi if fmax is None else max(fmax, hi)
-        if fmin is not None:
-            zones.append({"file": name, "min": fmin, "max": fmax})
-    with open(os.path.join(tmp, _MANIFEST), "w") as f:
-        json.dump(
-            {"key": key, "zones": zones, "fingerprint": fingerprint}, f
-        )
-    if os.path.isdir(path):
-        # rebuild over a stale layout: atomic_publish_dir deliberately
-        # lets an existing dir win (same-content race semantics), so
-        # swap the stale dir aside first.  POSIX cannot replace a
-        # directory atomically; a crash between the two renames leaves
-        # the old layout at path+'.stale' and the recovery branch above
-        # restores it on the next call.  Concurrent READERS of the same
-        # /tmp cache path can observe the brief gap — this is a
-        # single-driver scratch cache, not a shared store.
-        shutil.rmtree(stale, ignore_errors=True)
-        os.rename(path, stale)
-        out = atomic_publish_dir(tmp, path)
-        shutil.rmtree(stale, ignore_errors=True)
-        return out
-    return atomic_publish_dir(tmp, path)
+
+def _manifest(path: str) -> dict:
+    man = store.manifest(path)
+    if man is None:
+        raise FileNotFoundError(f"{path} is not a zone_export layout")
+    return man
 
 
 def zone_select(path: str, lo: int, hi: int) -> Tuple[list, int]:
     """Files whose [min, max] zone intersects [lo, hi) + total count."""
-    with open(os.path.join(path, _MANIFEST)) as f:
-        man = json.load(f)
-    zones = man["zones"]
+    zones = _manifest(path)["zones"]
     keep = [
         os.path.join(path, z["file"])
         for z in zones
@@ -156,8 +115,7 @@ def zone_read(path: str, lo: int, hi: int) -> rd.Dataset:
     """Manifest-pruned range read of [lo, hi) (epoch-µs / int key
     space): only overlapping files are opened; an exact residual filter
     removes edge rows the coarse file zones let through."""
-    with open(os.path.join(path, _MANIFEST)) as f:
-        key = json.load(f)["key"]
+    key = _manifest(path)["key"]
     files, total = zone_select(path, lo, hi)
     metrics.incr("zonemap_files_total", total)
     metrics.incr("zonemap_files_read", len(files))

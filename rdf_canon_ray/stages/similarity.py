@@ -20,7 +20,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from ..state import metrics
+from ..state import metrics, store
 from ..util import default_pool
 from .shuffle import bucketed_map_groups
 
@@ -391,75 +391,74 @@ def ivf_index_build(
     train_sample: int = 1024,
 ) -> str:
     """Persist an IVF index: ``centroids.parquet`` + one
-    ``list=N/data.parquet`` partition per NON-EMPTY inverted list + a
-    ``manifest.json`` recording which lists exist with how many rows
-    (the query side's corruption check — absence of a manifested
-    partition fails loudly).  Atomic tmp-dir rename; idempotent, but a
-    cached index is VALIDATED against ``n_lists`` before reuse so a
-    caller-chosen path can never silently serve a different geometry.
-    Build once, query many — queries read only their probed partitions,
-    so query I/O scales with n_probes/n_lists of the corpus, not the
+    ``list=N/data.parquet`` partition per NON-EMPTY inverted list,
+    published through ``state.store`` with ``n_lists`` and ``lists``
+    (list id → rows, the query side's corruption check — absence of a
+    manifested partition fails loudly) in the manifest.  Idempotent,
+    but a published index is VALIDATED against ``n_lists`` before
+    reuse, and a non-empty ``out_dir`` that is not a published index is
+    refused: the path is caller-chosen, so it can never silently serve
+    a different geometry or replace someone else's directory.  Build
+    once, query many — queries read only their probed partitions, so
+    query I/O scales with n_probes/n_lists of the corpus, not the
     corpus."""
-    import json
     import os
 
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        cached = pq.read_table(os.path.join(out_dir, "centroids.parquet"))
-        if cached.num_rows != n_lists:
+    existing = store.manifest(out_dir)
+    if existing is not None:
+        if existing.get("n_lists") != n_lists:
             raise ValueError(
                 f"existing IVF index at {out_dir} has "
-                f"{cached.num_rows} lists, requested n_lists={n_lists} — "
+                f"{existing.get('n_lists')} lists, requested n_lists={n_lists} — "
                 "remove it or use a different path"
             )
         return out_dir
-    tmp = out_dir + ".tmp"
-    import shutil
-
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
-
-    centroids, assigned = _train_and_assign(
-        ds, n_lists, train_sample, id_col, vec_col
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "list_id": pa.array(np.arange(n_lists), pa.int64()),
-                "centroid": pa.array(
-                    [c.tolist() for c in centroids], pa.list_(pa.float64())
-                ),
-            }
-        ),
-        os.path.join(tmp, "centroids.parquet"),
-    )
-
-    def write_list(group: pd.DataFrame) -> pd.DataFrame:
-        lst = int(group["ivf_list"].iloc[0])
-        pdir = os.path.join(tmp, f"list={lst}")
-        os.makedirs(pdir, exist_ok=True)
-        group.sort_values(id_col, kind="mergesort").to_parquet(
-            os.path.join(pdir, "data.parquet"), index=False
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise FileExistsError(
+            f"{out_dir} is non-empty and not an IVF index — remove it "
+            "or use a different path"
         )
-        return pd.DataFrame({"list_id": [lst], "rows": [len(group)]})
 
-    written = (
-        assigned.groupby("ivf_list")
-        .map_groups(write_list, batch_format="pandas")
-        .to_pandas()
-    )
-    with open(os.path.join(tmp, "manifest.json"), "w") as f:
-        json.dump(
-            {str(int(l)): int(r) for l, r in zip(written["list_id"], written["rows"])},
-            f,
-            sort_keys=True,
+    def build(tmp: str) -> dict:
+        centroids, assigned = _train_and_assign(
+            ds, n_lists, train_sample, id_col, vec_col
         )
-    from ..util import atomic_publish_dir
+        pq.write_table(
+            pa.table(
+                {
+                    "list_id": pa.array(np.arange(n_lists), pa.int64()),
+                    "centroid": pa.array(
+                        [c.tolist() for c in centroids], pa.list_(pa.float64())
+                    ),
+                }
+            ),
+            os.path.join(tmp, "centroids.parquet"),
+        )
 
-    return atomic_publish_dir(tmp, out_dir)
+        def write_list(group: pd.DataFrame) -> pd.DataFrame:
+            lst = int(group["ivf_list"].iloc[0])
+            pdir = os.path.join(tmp, f"list={lst}")
+            os.makedirs(pdir, exist_ok=True)
+            group.sort_values(id_col, kind="mergesort").to_parquet(
+                os.path.join(pdir, "data.parquet"), index=False
+            )
+            return pd.DataFrame({"list_id": [lst], "rows": [len(group)]})
+
+        written = (
+            assigned.groupby("ivf_list")
+            .map_groups(write_list, batch_format="pandas")
+            .to_pandas()
+        )
+        lists = {
+            str(int(l)): int(r)
+            for l, r in sorted(zip(written["list_id"], written["rows"]))
+        }
+        return {"n_lists": n_lists, "lists": lists}
+
+    return store.publish(out_dir, build)
 
 
 def ivf_cosine_topk_persisted(
@@ -491,16 +490,13 @@ def ivf_cosine_topk_persisted(
     # corrupt/partial index and must fail loudly — silently skipping a
     # probed partition would be an unreported recall loss (lists absent
     # from the manifest were legitimately empty at build time)
-    import json
-
-    manifest_path = os.path.join(index_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
+    published = store.manifest(index_dir)
+    if published is None:
         raise FileNotFoundError(
-            f"IVF index {index_dir} has no manifest.json — not a valid "
+            f"IVF index {index_dir} has no manifest — not a valid "
             "index (rebuild with ivf_index_build)"
         )
-    with open(manifest_path) as f:
-        manifest = {int(k): v for k, v in json.load(f).items()}
+    manifest = {int(k): v for k, v in published["lists"].items()}
     missing = [
         n for n in probed
         if n in manifest

@@ -1,9 +1,9 @@
 """Resumable partitioned output with per-partition lineage.
 
 "Resumable from checkpoint" for a batch pipeline means: output is laid
-out as one directory per key-range partition, each written atomically
-(temp dir + rename, ``_SUCCESS`` marker + ``manifest.json`` lineage),
-so a rerun after a crash
+out as one directory per key-range partition, each published through
+``state.store`` (its manifest — input, bucket count, keys, row counts —
+is the completion marker), so a rerun after a crash
 
   1. lists completed partitions (cheap metadata scan),
   2. filters them out of the *input* before the shuffle (no recompute,
@@ -16,9 +16,7 @@ shuffles — one partitioning decision reused across stages.
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import time
 from typing import Callable, Sequence, Set
 
@@ -27,6 +25,21 @@ import pandas as pd
 import ray.data as rd
 
 from ..stages.shuffle import add_bucket
+from . import store
+
+
+def _published_buckets(out_root: str) -> dict:
+    """bucket id → manifest of every published ``bucket=N`` partition."""
+    out = {}
+    if not os.path.isdir(out_root):
+        return out
+    for name in os.listdir(out_root):
+        b = name[len("bucket="):]
+        if name.startswith("bucket=") and b.isdigit():
+            m = store.manifest(os.path.join(out_root, name))
+            if m is not None:
+                out[int(b)] = m
+    return out
 
 
 def completed_buckets(
@@ -34,40 +47,23 @@ def completed_buckets(
     num_buckets: int | None = None,
     input_tag: str | None = None,
 ) -> Set[int]:
-    """Buckets with a ``_SUCCESS`` marker whose manifest matches the
-    current run.  When ``num_buckets``/``input_tag`` are given, a
-    partition written under a different bucket count or input is NOT
-    treated as complete (it would silently mix stale rows into the
-    output) — it gets rewritten instead."""
-    done = set()
-    if not os.path.isdir(out_root):
-        return done
-    for name in os.listdir(out_root):
-        part_dir = os.path.join(out_root, name)
-        if not name.startswith("bucket=") or not os.path.exists(
-            os.path.join(part_dir, "_SUCCESS")
-        ):
-            continue
-        if num_buckets is not None or input_tag is not None:
-            try:
-                with open(os.path.join(part_dir, "manifest.json")) as f:
-                    manifest = json.load(f)
-            except (OSError, ValueError):
-                continue  # unreadable lineage → rewrite
-            if num_buckets is not None and manifest.get("num_buckets") != num_buckets:
-                continue
-            if input_tag is not None and manifest.get("input") != input_tag:
-                continue
-        done.add(int(name.split("=", 1)[1]))
-    return done
+    """Published buckets whose fingerprint matches the current run.
+    When ``num_buckets``/``input_tag`` are given, a partition written
+    under a different bucket count or input is NOT treated as complete
+    (it would silently mix stale rows into the output) — it gets
+    rewritten instead."""
+    want = {"num_buckets": num_buckets, "input": input_tag}
+    return {
+        b
+        for b, m in _published_buckets(out_root).items()
+        if all(v is None or m["fingerprint"].get(k) == v for k, v in want.items())
+    }
 
 
 def read_output(out_root: str) -> rd.Dataset:
     parts = [
-        os.path.join(out_root, name, "part.parquet")
-        for name in sorted(os.listdir(out_root))
-        if name.startswith("bucket=")
-        and os.path.exists(os.path.join(out_root, name, "_SUCCESS"))
+        os.path.join(out_root, f"bucket={b}", "part.parquet")
+        for b in sorted(_published_buckets(out_root))
     ]
     return rd.read_parquet(parts)
 
@@ -104,29 +100,21 @@ def resumable_bucket_run(
         bucket = int(group["_bucket"].iloc[0])
         t0 = time.time()
         result = bucket_fn(group.drop(columns=["_bucket"]))
-        part_dir = os.path.join(out_root, f"bucket={bucket}")
-        tmp_dir = part_dir + ".tmp"
-        if os.path.isdir(tmp_dir):
-            shutil.rmtree(tmp_dir)
-        os.makedirs(tmp_dir)
-        result.to_parquet(os.path.join(tmp_dir, "part.parquet"), index=False)
-        with open(os.path.join(tmp_dir, "manifest.json"), "w") as f:
-            json.dump(
-                {
-                    "bucket": bucket,
-                    "rows_in": int(len(group)),
-                    "rows_out": int(len(result)),
-                    "input": input_tag,
-                    "keys": keys,
-                    "num_buckets": num_buckets,
-                    "wall_sec": round(time.time() - t0, 3),
-                },
-                f,
-            )
-        open(os.path.join(tmp_dir, "_SUCCESS"), "w").close()
-        if os.path.isdir(part_dir):
-            shutil.rmtree(part_dir)
-        os.rename(tmp_dir, part_dir)
+
+        def build(tmp: str) -> dict:
+            result.to_parquet(os.path.join(tmp, "part.parquet"), index=False)
+            return {
+                "bucket": bucket,
+                "rows_in": int(len(group)),
+                "rows_out": int(len(result)),
+                "wall_sec": round(time.time() - t0, 3),
+            }
+
+        store.publish(
+            os.path.join(out_root, f"bucket={bucket}"),
+            build,
+            {"input": input_tag, "keys": keys, "num_buckets": num_buckets},
+        )
         return pd.DataFrame(
             {
                 "bucket": [bucket],

@@ -38,6 +38,11 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..state import store
+
+# the sf_dir tables build_transcripts reads
+_SOURCE_TABLES = ("orders", "lineitem", "customer", "part", "supplier")
+
 TRANSCRIPT_SCHEMA = pa.schema(
     [
         ("conv_id", pa.string()),
@@ -226,21 +231,20 @@ def build_transcripts(sf_dir: str, concurrency: int | None = None) -> rd.Dataset
     return header.union(items)
 
 
+def source_fingerprint(sf_dir: str) -> list:
+    """Stat fingerprint of the tables ``build_transcripts`` reads: every
+    transcript-derived cache is stale once one of them is rewritten."""
+    return store.stat_files(
+        {t: os.path.join(sf_dir, f"{t}.parquet") for t in _SOURCE_TABLES}
+    )
+
+
 def transcripts_parquet(sf_dir: str, cache_root: str = "/tmp/rcr_cache") -> str:
-    """Materialize (once) the transcripts table for ``sf_dir`` to parquet;
-    returns the directory. Atomic: writes to a temp dir then renames, so a
-    concurrent/failed run never exposes partial output."""
+    """Materialize (once per input fingerprint) the transcripts table for
+    ``sf_dir`` to parquet; returns the directory (``state.store``)."""
     tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = os.path.join(cache_root, tag, "transcripts")
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        return out_dir
-    tmp_dir = out_dir + ".tmp"
-    if os.path.isdir(tmp_dir):
-        import shutil
-
-        shutil.rmtree(tmp_dir)
-    os.makedirs(os.path.dirname(out_dir), exist_ok=True)
-    build_transcripts(sf_dir).write_parquet(tmp_dir)
-    from ..util import atomic_publish_dir
-
-    return atomic_publish_dir(tmp_dir, out_dir)
+    return store.cached(
+        os.path.join(cache_root, tag, "transcripts"),
+        source_fingerprint(sf_dir),
+        lambda tmp: build_transcripts(sf_dir).write_parquet(tmp),
+    )

@@ -32,58 +32,3 @@ def default_buckets(mult: int = 4, floor: int = 32, ceil: int = 1024) -> int:
     cores keeps every core busy through the tail; the ceiling bounds
     per-bucket scheduling overhead."""
     return max(floor, min(ceil, mult * cluster_cpus()))
-
-
-def atomic_publish_dir(tmp: str, final: str) -> str:
-    """Atomically publish a fully-built ``tmp`` directory at ``final``.
-
-    Cache semantics under concurrent builders: if ``final`` appeared
-    while we were building (another process won the race on the SAME
-    deterministic content), our tmp dir is discarded and the existing
-    dir wins.  Any other rename failure RAISES — callers must never be
-    left silently reading stale or partial data (a prior version of
-    this idiom swallowed every OSError, which could report success while
-    serving an old directory)."""
-    import os
-    import shutil
-
-    try:
-        os.rename(tmp, final)
-    except OSError:
-        if os.path.isdir(final) and os.listdir(final):
-            shutil.rmtree(tmp, ignore_errors=True)  # lost a benign race
-        else:
-            raise
-    return final
-
-
-def partition_fingerprint(parts) -> list:
-    """Metadata-only input fingerprint for a persisted store keyed by
-    partition files: ``[[bucket, size, mtime_ns], ...]`` sorted by
-    bucket (one ``os.stat`` per file).  Shared by ``kg.canonical_store``
-    and ``graph.comention_store`` so the staleness semantics (a layout
-    rebuilt in place invalidates the surviving store dir) cannot drift
-    between them."""
-    import os
-
-    out = []
-    for b, p in sorted(parts.items()):
-        st = os.stat(p)
-        out.append([b, st.st_size, st.st_mtime_ns])
-    return out
-
-
-def store_is_fresh(out_dir: str, manifest_name: str, fingerprint) -> bool:
-    """True when ``out_dir`` exists and its manifest records exactly
-    ``fingerprint``; an unreadable/truncated manifest reads as stale."""
-    import json
-    import os
-
-    mf = os.path.join(out_dir, manifest_name)
-    if not (os.path.isdir(out_dir) and os.path.isfile(mf)):
-        return False
-    try:
-        with open(mf) as f:
-            return json.load(f).get("fingerprint") == fingerprint
-    except (json.JSONDecodeError, OSError):
-        return False

@@ -2,6 +2,8 @@
 hex values (`/root/reference/src/canon.rs:1165-1426`) — catches
 serialization/escaping drift before it reaches the conformance suite."""
 
+import pytest
+
 from rdf_canon_ray.core.canon import (
     HndqCallCounter,
     IdentifierIssuer,
@@ -142,9 +144,7 @@ def test_per_node_counter():
 
     c = PerNodeHndqCallCounter(limit=2)
     c.add_node("a"); c.add_node("a"); c.add_node("b")
-    import pytest as _pytest
-
-    with _pytest.raises(HndqCallLimitExceeded):
+    with pytest.raises(HndqCallLimitExceeded):
         c.add_node("a")
 
 
@@ -187,7 +187,7 @@ def test_golden_trace_parity_with_reference_logs():
     root = "/root/reference/tests"
     sup = os.path.join(root, "rdfc10_supplement")
     if not os.path.isdir(sup):
-        pytest.skip("reference checkout not present")
+        pytest.fail(f"reference checkout missing: {sup} does not exist")
     checked = 0
     for name in sorted(os.listdir(sup)):
         case = name.split(".")[0]  # test024

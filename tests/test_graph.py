@@ -5,6 +5,7 @@ import pandas as pd
 import ray.data as rd
 
 from rdf_canon_ray.pipelines import graph
+from rdf_canon_ray.state import store as persisted
 
 SF = "/root/testdata/sf0.001"
 
@@ -168,10 +169,9 @@ def test_adjacency_store_cold_load_equality(ray_session):
     # test is order-independent (earlier tests may have packed SF)
     graph._ENC_CACHE.clear()
     a = graph.pagerank(SF).to_pandas().sort_values("entity_iri").reset_index(drop=True)
-    assert os.path.isfile(os.path.join(store, "_adj.json"))
-    with open(os.path.join(store, "_adj.json")) as f:
-        manifest = json.load(f)
-    assert manifest["v"] == graph._ADJ_STORE_V
+    manifest = persisted.manifest(store)
+    assert manifest is not None
+    assert manifest["fingerprint"]["v"] == graph._ADJ_STORE_V
     # simulate a cold session: drop every in-process cache
     graph._ENC_CACHE.clear()
     graph._ADJ_CACHE.clear()
@@ -184,10 +184,10 @@ def test_adjacency_store_cold_load_equality(ray_session):
     assert bfs_a.equals(bfs_b)
     # stale fingerprint → loader refuses (rebuild path)
     bad = dict(manifest, fingerprint=[["tampered", 0, 0]])
-    with open(os.path.join(store, "_adj.json"), "w") as f:
+    with open(os.path.join(store, persisted.MANIFEST), "w") as f:
         json.dump(bad, f)
     assert graph._load_resident_graph(
-        store, [list(t) for t in graph._corpus_tag(SF)], 500_000
+        store, graph._adjacency_fingerprint(SF), 500_000
     ) is None
     shutil.rmtree(store, ignore_errors=True)
 
@@ -226,3 +226,13 @@ def test_comention_incremental_equals_full_rebuild(ray_session):
     store = graph.comention_store(SF, num_buckets=16, delta_mod=4)
     parts = [d for d in os.listdir(store) if d.startswith("part=")]
     assert parts and all(int(p.split("=")[1]) % 4 != 0 for p in parts)
+
+
+def test_partition_pairs_batch_fn_on_empty_batch():
+    """A zero-row descriptor batch gives an empty typed pair frame (it
+    used to index the empty result list and raise IndexError)."""
+    out = graph._partition_pairs_batches(None)(
+        pd.DataFrame({"path": pd.Series([], dtype=object)})
+    )
+    assert len(out) == 0 and list(out.columns) == ["c1", "c2"]
+    assert (out.dtypes == np.int64).all()

@@ -175,6 +175,34 @@ def test_canonical_store_rebuilds_on_stale_fingerprint(ray_session):
     assert fp1 != fp0  # rebuilt against the new layout fingerprint
 
 
+def test_transcript_caches_rebuild_on_changed_input(ray_session, tmp_path):
+    """Rewriting a source table the transcripts are built from rebuilds
+    both the flat transcript cache and the conv-partitioned layout (they
+    used to be served as fresh whenever the directory was non-empty)."""
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from rdf_canon_ray.pipelines import kg
+
+    sf = str(tmp_path / "sf0.001")
+    shutil.copytree(SF, sf)
+    cache = str(tmp_path / "cache")
+
+    def n_convs(path):
+        return len(pq.read_table(path, columns=["conv_id"])["conv_id"].unique())
+
+    flat0 = n_convs(kg.transcripts_parquet(sf, cache))
+    part0 = n_convs(kg.transcripts_parquet_partitioned(sf, 8, cache))
+    assert flat0 == part0 > 0
+    orders = pq.read_table(os.path.join(sf, "orders.parquet"))
+    pq.write_table(orders.slice(0, orders.num_rows // 2), os.path.join(sf, "orders.parquet"))
+    flat1 = n_convs(kg.transcripts_parquet(sf, cache))
+    part1 = n_convs(kg.transcripts_parquet_partitioned(sf, 8, cache))
+    assert flat1 == part1 < flat0
+
+
 def test_quarantine_poison_graph(ray_session):
     """A poison clique graph is quarantined; healthy graphs still pass."""
     import ray.data as rd

@@ -3,6 +3,8 @@ round trip over the W3C fixture corpus."""
 
 import os
 
+import pytest
+
 
 def test_canonical_corpus_sink(ray_session, tmp_path):
     import pandas as pd
@@ -191,3 +193,23 @@ def test_compact_dir_preserves_rows_and_order(ray_session, tmp_path):
     # content identical and global order preserved (src was sorted)
     got = pq.read_table(dst).to_pandas()
     assert got["k"].tolist() == sorted(df["k"].tolist())
+
+
+def test_compact_dir_refuses_nonempty_dst(tmp_path):
+    """A non-empty ``dst`` is refused and left untouched (compaction used
+    to return stats for output it then threw away)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from rdf_canon_ray.sources.compact import compact_dir
+
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    src.mkdir()
+    dst.mkdir()
+    pq.write_table(pa.table({"k": [1, 2]}), str(src / "a.parquet"))
+    (dst / "keep.parquet").write_bytes(b"old output")
+    with pytest.raises(FileExistsError, match="non-empty"):
+        compact_dir(str(src), str(dst))
+    assert os.listdir(dst) == ["keep.parquet"]
+    assert (dst / "keep.parquet").read_bytes() == b"old output"
+    assert not os.path.exists(str(dst) + ".tmp")

@@ -1,0 +1,124 @@
+"""Contract of the persisted-directory primitive (``state/store.py``),
+one case per rule.  Ray-free."""
+
+import json
+import os
+import shutil
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from rdf_canon_ray.state import store
+
+
+class Builder:
+    """A build callback that counts its calls.  It owns ``tmp`` outright
+    and recreates it, as a writer that clears its target may."""
+
+    def __init__(self, value=1):
+        self.calls = 0
+        self.value = value
+
+    def __call__(self, tmp):
+        self.calls += 1
+        shutil.rmtree(tmp)
+        os.makedirs(tmp)
+        pq.write_table(pa.table({"x": [self.value] * 3}), os.path.join(tmp, "part-0.parquet"))
+        return {"rows": 3}
+
+
+def _x(path):
+    return pq.read_table(os.path.join(path, "part-0.parquet"))["x"].to_pylist()
+
+
+def test_hit_never_calls_build(tmp_path):
+    path = str(tmp_path / "s")
+    b = Builder()
+    assert store.cached(path, [["a", 1, 2]], b) == path
+    assert store.cached(path, (("a", 1, 2),), b) == path  # tuples read back as lists
+    assert b.calls == 1
+    m = store.manifest(path)
+    assert m["fingerprint"] == [["a", 1, 2]] and m["rows"] == 3
+
+
+def test_changed_fingerprint_rebuilds(tmp_path):
+    path = str(tmp_path / "s")
+    store.cached(path, "v1", Builder(1))
+    b2 = Builder(2)
+    store.cached(path, "v2", b2)
+    assert b2.calls == 1 and _x(path) == [2, 2, 2]
+    assert store.manifest(path)["fingerprint"] == "v2"
+    assert not os.path.exists(path + ".stale")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "format"])
+def test_bad_manifest_rebuilds(tmp_path, damage):
+    path = str(tmp_path / "s")
+    store.cached(path, "fp", Builder())
+    mf = os.path.join(path, store.MANIFEST)
+    if damage == "truncated":
+        text = open(mf).read()
+        open(mf, "w").write(text[: len(text) // 2])
+    else:
+        json.dump({"format": store.FORMAT + 1, "fingerprint": "fp"}, open(mf, "w"))
+    assert store.manifest(path) is None
+    b = Builder()
+    store.cached(path, "fp", b)
+    assert b.calls == 1 and store.manifest(path)["fingerprint"] == "fp"
+
+
+def test_leftover_tmp_is_discarded(tmp_path):
+    path = str(tmp_path / "s")
+    os.makedirs(path + ".tmp")
+    open(os.path.join(path + ".tmp", "junk.parquet"), "w").write("dead run")
+    store.cached(path, "fp", Builder())
+    assert not os.path.exists(path + ".tmp")
+    assert sorted(os.listdir(path)) == [store.MANIFEST, "part-0.parquet"]
+
+
+def test_stale_copy_is_restored_then_hits(tmp_path):
+    path = str(tmp_path / "s")
+    store.cached(path, "fp", Builder(7))
+    os.rename(path, path + ".stale")  # crash between the two renames
+    b = Builder(8)
+    assert store.cached(path, "fp", b) == path
+    assert b.calls == 0 and _x(path) == [7, 7, 7]
+    assert not os.path.exists(path + ".stale")
+
+
+def test_failed_build_keeps_old_dir(tmp_path):
+    path = str(tmp_path / "s")
+    store.cached(path, "v1", Builder(1))
+
+    def boom(tmp):
+        open(os.path.join(tmp, "half.parquet"), "w").write("partial")
+        raise RuntimeError("build died")
+
+    with pytest.raises(RuntimeError, match="build died"):
+        store.cached(path, "v2", boom)
+    assert _x(path) == [1, 1, 1]
+    assert store.manifest(path)["fingerprint"] == "v1"
+    assert not os.path.exists(path + ".tmp")
+
+
+def test_parquet_read_ignores_manifest(tmp_path):
+    path = str(tmp_path / "s")
+    store.publish(path, Builder(5), "fp")
+    assert os.path.isfile(os.path.join(path, store.MANIFEST))
+    assert pq.read_table(path)["x"].to_pylist() == [5, 5, 5]
+
+
+def test_stat_files_tracks_rewrites(tmp_path):
+    f = tmp_path / "t.parquet"
+    f.write_text("one")
+    a = store.stat_files({"t": str(f)})
+    f.write_text("three")
+    b = store.stat_files({"t": str(f)})
+    assert a[0][0] == "t" and a != b
+
+
+def test_plain_publish_writes_no_manifest(tmp_path):
+    path = str(tmp_path / "sink")
+    store.publish(path, lambda tmp: open(os.path.join(tmp, "data.csv"), "w").close())
+    assert os.listdir(path) == ["data.csv"]
