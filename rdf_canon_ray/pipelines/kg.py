@@ -5,12 +5,14 @@ Ray-Data-first lifecycle (SURVEY.md §3.4):
     read_parquet(transcripts)                 # or build_transcripts (map-only)
     → map_batches(extract_mentions_arrow)     # stateless tasks, RE2
     → [triples / links view]  (map-only)      # SQL-oracle-checkable
-    → bucketed exchange on conv_id            # THE shuffle
-    → canonicalize_bucket                     # link + RDFC-1.0 per bucket
+    → bucketed exchange on conv_id            # THE shuffle, one block/core
+    → canonicalize_bucket                     # link + RDFC-1.0 per block
     → write_parquet sinks (partitioned, resumable)
 
-The partitioned, store-build and incremental paths run the same
-extraction and bucket kernel map-only, one task per conv-bucket file.
+The partitioned and incremental paths run the same extraction and
+bucket kernel map-only, once per block of conv-bucket files (one block
+per core, ``util.plan_partitions``); the store build runs it once per
+file, since each file is one store partition.
 
 Cross-partition entity canonicalization: entity IRIs are already
 corpus-canonical (linking resolves surfaces to keys), so the cross-graph
@@ -45,7 +47,7 @@ from ..transcripts.gen import (
     source_fingerprint,
     transcripts_parquet,
 )
-from ..util import default_buckets
+from ..util import default_buckets, plan_partitions
 
 # Driver-side serial floor: the dimension-table reads behind
 # build_link_maps and the ray.put of the result are identical across
@@ -377,7 +379,7 @@ def transcripts_parquet_partitioned(
     deterministic replicated corpus (scaling protocol)."""
     import pandas as pd
 
-    from ..stages.shuffle import add_bucket
+    from ..stages.shuffle import add_bucket, map_buckets
 
     tag = os.path.basename(os.path.normpath(sf_dir))
     if factor > 1:
@@ -399,16 +401,15 @@ def transcripts_parquet_partitioned(
             if factor > 1
             else build_transcripts(sf_dir)
         )
-        (
+        map_buckets(
             source.map_batches(
                 lambda b: add_bucket(b, ["conv_id"], num_buckets),
                 batch_format="pandas",
                 batch_size=32768,
-            )
-            .groupby("_bucket")
-            .map_groups(write_bucket, batch_format="pandas")
-            .count()
-        )
+            ),
+            num_buckets,
+            write_bucket,
+        ).count()
 
     return store.cached(
         out_dir,
@@ -424,27 +425,25 @@ def transcripts_parquet_partitioned(
 def _canonicalize_part_files(
     maps_ref, hash_name: str, hndq_call_limit: Optional[int]
 ):
-    """Batch fn: conv-bucket part file paths → canonical graph rows
-    (extract → ``canonicalize_bucket``, all inside the task — the
-    map-only flagship shared by the partitioned, store-build and
-    incremental paths)."""
+    """Batch fn: conv-bucket part file paths → canonical graph rows.
+    The batch's part files are read as one table, and extraction and
+    ``canonicalize_bucket`` run ONCE over it: the kernel's per-call
+    fixed cost is paid per batch, not per file (the map-only flagship
+    shared by the partitioned, store-build and incremental paths)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     def process(batch: pd.DataFrame) -> pa.Table:
-        return pa.concat_tables(
-            [
-                canonicalize_bucket(
-                    extract_mentions_arrow(
-                        pq.read_table(path, columns=_EXTRACT_COLS)
-                    ).to_pandas(),
-                    maps_ref,
-                    hash_name,
-                    hndq_call_limit,
-                )
-                for path in batch["path"]
-            ]
-            or [_GRAPH_SCHEMA.empty_table()]
+        if len(batch) == 0:
+            return _GRAPH_SCHEMA.empty_table()
+        transcripts = pa.concat_tables(
+            [pq.read_table(p, columns=_EXTRACT_COLS) for p in batch["path"]]
+        )
+        return canonicalize_bucket(
+            extract_mentions_arrow(transcripts).to_pandas(),
+            maps_ref,
+            hash_name,
+            hndq_call_limit,
         )
 
     return process
@@ -453,13 +452,17 @@ def _canonicalize_part_files(
 def _part_files_dataset(
     sf_dir: str, paths, hash_name: str, hndq_call_limit: Optional[int]
 ) -> rd.Dataset:
-    """Canonical graphs of conv-bucket part files: one map task per file,
-    in ``paths`` order."""
+    """Canonical graphs of conv-bucket part files: one map task per
+    planned block of contiguous files (``plan_partitions``), blocks in
+    ``paths`` order."""
     process = _canonicalize_part_files(
         _link_maps_ref(sf_dir), hash_name, hndq_call_limit
     )
-    ds = rd.from_items([{"path": p} for p in paths])
-    return ds.map_batches(process, batch_format="pandas", batch_size=1)
+    ds = rd.from_items(
+        [{"path": p} for p in paths],
+        override_num_blocks=plan_partitions(len(paths)),
+    )
+    return ds.map_batches(process, batch_format="pandas", batch_size=None)
 
 
 def canonical_graphs_partitioned(
@@ -470,10 +473,11 @@ def canonical_graphs_partitioned(
     factor: int = 1,
 ) -> rd.Dataset:
     """Map-only flagship over conv-bucket-partitioned transcript storage:
-    each task reads one bucket file, extracts, links, and canonicalizes
-    its conversations — ZERO all-to-all at query time (the shuffle was
-    paid once at ingest). This is the 100 TB-scale layout: partition
-    count scales with the corpus, tasks scale with the cluster."""
+    each task reads a contiguous block of bucket files, extracts, links,
+    and canonicalizes their conversations in one kernel call — ZERO
+    all-to-all at query time (the shuffle was paid once at ingest). This
+    is the 100 TB-scale layout: partition count scales with the corpus,
+    tasks scale with the cluster."""
     root = transcripts_parquet_partitioned(sf_dir, num_buckets, factor=factor)
     parts = sorted(
         os.path.join(root, d, "data.parquet")
@@ -560,7 +564,7 @@ def _canonical_delta(
     sf_dir: str, num_buckets: int, delta_mod: int, hash_name: str
 ) -> rd.Dataset:
     """Canonical graphs of the DELTA buckets (``b % delta_mod == 0``),
-    map-only, in bucket order."""
+    map-only, in bucket order (``plan_partitions(len(delta))`` tasks)."""
     root = transcripts_parquet_partitioned(sf_dir, num_buckets)
     delta = [
         p for b, p in sorted(_partition_paths(root).items())
@@ -597,12 +601,14 @@ def canonical_incremental(
 
     # pandas identity on the parquet side: a parquet-read (Arrow-block)
     # dataset unioned with a pandas map_batches dataset crashes the
-    # fused exchange prepare downstream — normalize first
+    # fused exchange prepare downstream — normalize first.
+    # batch_size=None on the delta side keeps the planned delta blocks:
+    # a row batch size would fuse every delta block into one task.
     base_ds = rd.read_parquet(store).map_batches(
         project, batch_format="pandas", batch_size=8192
     )
     return base_ds.union(
-        delta_ds.map_batches(project, batch_format="pandas", batch_size=8192)
+        delta_ds.map_batches(project, batch_format="pandas", batch_size=None)
     )
 
 

@@ -17,7 +17,7 @@ import os
 import pandas as pd
 import ray.data as rd
 
-from ..stages.shuffle import add_bucket
+from ..stages.shuffle import add_bucket, map_buckets
 from ..state import store
 
 
@@ -47,16 +47,15 @@ def write_csv_partitioned(
             ).to_csv(os.path.join(pdir, "data.csv"), index=False)
             return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
 
-        (
+        map_buckets(
             ds.map_batches(
                 lambda b: add_bucket(b, key_cols, num_buckets),
                 batch_format="pandas",
                 batch_size=32768,
-            )
-            .groupby("_bucket")
-            .map_groups(write_bucket, batch_format="pandas")
-            .count()
-        )
+            ),
+            num_buckets,
+            write_bucket,
+        ).count()
 
     return store.publish(out_dir, build)
 

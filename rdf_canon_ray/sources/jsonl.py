@@ -19,7 +19,7 @@ import os
 import pandas as pd
 import ray.data as rd
 
-from ..stages.shuffle import add_bucket
+from ..stages.shuffle import add_bucket, map_buckets
 from ..state import store
 
 
@@ -56,16 +56,15 @@ def write_jsonl_partitioned(
             )
             return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
 
-        (
+        map_buckets(
             ds.map_batches(
                 lambda b: add_bucket(b, key_cols, num_buckets),
                 batch_format="pandas",
                 batch_size=32768,
-            )
-            .groupby("_bucket")
-            .map_groups(write_bucket, batch_format="pandas")
-            .count()
-        )
+            ),
+            num_buckets,
+            write_bucket,
+        ).count()
 
     return store.publish(out_dir, build)
 

@@ -6,9 +6,10 @@ per-invocation ``CanonicalizationState`` (`/root/reference/src/canon.rs:208`)
 — two graphs never share issuer state, which is exactly why this operator
 is embarrassingly parallel.
 
-``canonicalize_graphs(quads_ds)`` =
-``quads_ds.groupby("graph_id").map_groups(_canonicalize_group)`` — the one
-all-to-all shuffle of the KG pipeline.  Graphs whose HNDQ cost exceeds the
+``canonicalize_graphs(quads_ds)`` hash-buckets the quads by ``graph_id``
+and runs one bucketed exchange (``stages.shuffle.exchange_buckets``) —
+the one all-to-all shuffle of the KG pipeline; ``canonicalize_mentions``
+is the flagship's fused form of it.  Graphs whose HNDQ cost exceeds the
 call limit are routed to ``status="quarantined"`` instead of failing the
 job (the reference's ``HndqCallLimitExceeded`` made recoverable,
 `/root/reference/src/error.rs:14-15`).
@@ -166,10 +167,11 @@ def canonicalize_graphs(
     """Generic per-graph RDFC-1.0 canonicalization shuffle.
 
     Graphs are hash-bucketed (``num_buckets`` ≈ 4× total cores at scale)
-    so Ray's per-group dispatch cost is paid once per *bucket*; within a
-    bucket a pandas groupby loop hands each conversation to the RDFC-1.0
-    kernel.  Skewed/poisoned graphs are bounded by ``hndq_call_limit``
-    and land in the quarantine status instead of stalling the stage.
+    and exchanged into one block per core (``bucketed_map_groups``);
+    each bucket's graphs go to the RDFC-1.0 kernel one by one
+    (``iter_graph_tuples``).  Skewed/poisoned graphs are bounded by
+    ``hndq_call_limit`` and land in the quarantine status instead of
+    stalling the stage.
     """
     from .shuffle import bucketed_map_groups
 
@@ -237,18 +239,25 @@ def canonicalize_mentions(
 ) -> rd.Dataset:
     """Fused fast path: shuffle the COMPACT mentions table (one row per
     mention) by conversation bucket, then expand to quads and
-    canonicalize inside the bucket (``canonicalize_bucket``).
+    canonicalize after the exchange (``canonicalize_bucket``).
 
-    Versus ``canonicalize_graphs`` over a pre-expanded quads table this
-    moves ~6× fewer rows/bytes through the all-to-all exchange — the
+    The exchange (``exchange_buckets``) makes one block per core, and a
+    conversation never straddles a block, so the bucket kernel runs
+    ONCE per block over all of its conversations: its per-call fixed
+    cost (linker frame builds, Arrow out) is paid per core, not per
+    bucket.  Versus ``canonicalize_graphs`` over a pre-expanded quads
+    table this moves ~6× fewer rows/bytes through the exchange — the
     quad expansion is recomputed post-shuffle where it is cheap and
     local.  Link maps are broadcast (``ray.put``) and deserialized once
     per worker via ``_cached_linker``."""
-    from .shuffle import bucketed_map_groups
+    from .shuffle import exchange_buckets, with_buckets
 
-    def run_bucket(bucket: pd.DataFrame) -> pa.Table:
-        return canonicalize_bucket(bucket, maps_ref, hash_name, hndq_call_limit)
+    def run_block(block: pd.DataFrame) -> pa.Table:
+        if len(block) == 0:
+            return _GRAPH_SCHEMA.empty_table()
+        return canonicalize_bucket(block, maps_ref, hash_name, hndq_call_limit)
 
-    return bucketed_map_groups(
-        mentions_ds, ["conv_id"], run_bucket, num_buckets=num_buckets
+    bucketed = with_buckets(mentions_ds, ["conv_id"], num_buckets)
+    return exchange_buckets(bucketed, num_buckets).map_batches(
+        run_block, batch_format="pandas", batch_size=None
     )

@@ -60,9 +60,13 @@ def _md5_hex(s: str) -> str:
 def _content_hash_batch(
     batch: pd.DataFrame, id_col: str = "doc_id", text_col: str = "text"
 ) -> pd.DataFrame:
+    hashes = batch[text_col].map(_md5_hex)
+    if len(batch) == 0:
+        # an empty object column carries no type: Arrow would read null
+        hashes = hashes.astype("string")
     return pd.DataFrame(
         {
-            "content_hash": batch[text_col].map(_md5_hex),
+            "content_hash": hashes,
             id_col: batch[id_col].to_numpy(),
             "n_dups": np.ones(len(batch), np.int64),
         }

@@ -6,12 +6,17 @@ triples, per-entity counts, per-conversation graphs) that dominates
 wall-time.  The scalable idiom used throughout this engine is:
 
     1. map_batches: local combine (drop_duplicates / partial aggregate)
-       + add ``_bucket = hash64(keys) % num_buckets``
-    2. groupby("_bucket").map_groups: vectorized pandas combine within
-       each bucket (num_buckets groups total, each a big batch)
+       + add ``_bucket = hash64(keys) % num_buckets`` (``with_buckets``)
+    2. ``exchange_buckets``: ONE range sort on ``_bucket`` with explicit
+       boundaries into ``util.plan_partitions(num_buckets)`` blocks (one
+       per core), each holding whole buckets in bucket order
+    3. a per-block loop hands each bucket to the vectorized pandas
+       combine (``map_buckets``), or a kernel that takes whole
+       conversations runs once over the block (the flagship)
 
-``num_buckets`` bounds shuffle fan-in and is the knob that scales to a
-cluster: pick ~4× total cores (or data_size / target_partition_size).
+``num_buckets`` bounds shuffle fan-in and is the hash granularity: pick
+~4× total cores (``util.default_buckets``).  The task count is the
+plan's, not the upstream block count Ray's sampled sort would follow.
 Hashing uses ``pd.util.hash_pandas_object`` with its fixed default key,
 deterministic across processes — two workers always agree on a row's
 bucket.
@@ -25,6 +30,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+from ray.data.block import BlockAccessor
+
+from ..util import plan_partitions
 
 DEFAULT_NUM_BUCKETS = 64  # static fallback; call sites may pass
                           # util.default_buckets() for cluster-adaptive
@@ -39,22 +47,16 @@ def add_bucket(
     return batch
 
 
-def bucketed_map_groups(
+def with_buckets(
     ds: rd.Dataset,
     keys: Sequence[str],
-    bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    num_buckets: int,
     local_combine: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     batch_size: int = 32768,
 ) -> rd.Dataset:
-    """Generic bucketed shuffle: all rows sharing ``keys`` meet in one
-    bucket; ``bucket_fn`` sees the bucket as one DataFrame (without the
-    ``_bucket`` column) and returns its combined result."""
+    """Step 1: ``ds`` plus ``_bucket = hash64(keys) % num_buckets``,
+    after an optional per-batch ``local_combine``."""
     keys = list(keys)
-
-    def run_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return bucket_fn(group.drop(columns=["_bucket"]))
-
     if local_combine is None:
         # Zero-copy pre-shuffle path: only the key columns cross into
         # pandas for hashing; every other column stays Arrow through the
@@ -70,25 +72,99 @@ def bucketed_map_groups(
             b = (h % np.uint64(num_buckets)).astype(np.int32)
             return batch.append_column("_bucket", pa.array(b))
 
-        prepared = ds.map_batches(
+        return ds.map_batches(
             prepare, batch_format="pyarrow", batch_size=batch_size
         )
-    else:
 
-        def prepare_pd(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = local_combine(batch)
-            if len(batch) == 0:
-                out = batch.copy()
-                out["_bucket"] = pd.Series([], dtype=np.int32)
-                return out
-            return add_bucket(batch, keys, num_buckets)
+    def prepare_pd(batch: pd.DataFrame) -> pd.DataFrame:
+        batch = local_combine(batch)
+        if len(batch) == 0:
+            out = batch.copy()
+            out["_bucket"] = pd.Series([], dtype=np.int32)
+            return out
+        return add_bucket(batch, keys, num_buckets)
 
-        prepared = ds.map_batches(
-            prepare_pd, batch_format="pandas", batch_size=batch_size
+    return ds.map_batches(
+        prepare_pd, batch_format="pandas", batch_size=batch_size
+    )
+
+
+def exchange_buckets(ds: rd.Dataset, num_buckets: int) -> rd.Dataset:
+    """Step 2, the one bucket exchange: ``ds`` carries ``_bucket`` in
+    ``[0, num_buckets)``; the result has ``plan_partitions(num_buckets)``
+    blocks, each a contiguous run of WHOLE buckets sorted by ``_bucket``
+    (some may be empty).  The range boundaries are explicit, so the
+    block count follows the plan, not the upstream block count that
+    Ray's sampled sort would use."""
+    p = plan_partitions(num_buckets)
+    if p == 1:
+        # Ray reads an empty boundary list as "sample one partition per
+        # input block": gather into one block instead
+        one = ds.repartition(1)
+        return one if num_buckets == 1 else one.sort("_bucket")
+    return ds.sort(
+        "_bucket", boundaries=[num_buckets * i // p for i in range(1, p)]
+    )
+
+
+def map_buckets(
+    ds: rd.Dataset,
+    num_buckets: int,
+    fn: Callable[[pd.DataFrame], pd.DataFrame],
+) -> rd.Dataset:
+    """Steps 2-3 for a dataset that already carries ``_bucket``:
+    ``exchange_buckets``, then ``fn`` once per bucket, in bucket order,
+    on that bucket's rows as one DataFrame (``_bucket`` included, so
+    partition writers can name their output by it)."""
+
+    def loop(block):
+        # registers Ray's pandas tensor dtype, which the Arrow → pandas
+        # conversion of a tensor column (embeddings) needs: a worker that
+        # has only run this loop has not imported it yet
+        import ray.air.util.tensor_extensions.pandas  # noqa: F401
+
+        acc = BlockAccessor.for_block(block)
+        if acc.num_rows() == 0:
+            return
+        b = acc.to_numpy("_bucket")
+        edges = np.concatenate(
+            [[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)]]
         )
+        # zero-row results are dropped unless the whole block has no
+        # other (one then carries the schema): Ray logs a size error for
+        # every zero-row pandas block with a string column
+        last_empty, any_rows = None, False
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            group = acc.slice(int(lo), int(hi), copy=False)
+            out = fn(BlockAccessor.for_block(group).to_pandas())
+            if len(out):
+                any_rows = True
+                yield out
+            else:
+                last_empty = out
+        if not any_rows and last_empty is not None:
+            yield last_empty
 
-    return prepared.groupby("_bucket").map_groups(
-        run_bucket, batch_format="pandas"
+    return exchange_buckets(ds, num_buckets).map_batches(
+        loop, batch_format=None, batch_size=None
+    )
+
+
+def bucketed_map_groups(
+    ds: rd.Dataset,
+    keys: Sequence[str],
+    bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
+    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    local_combine: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
+    batch_size: int = 32768,
+) -> rd.Dataset:
+    """Generic bucketed shuffle: all rows sharing ``keys`` meet in one
+    bucket; ``bucket_fn`` sees the bucket as one DataFrame (without the
+    ``_bucket`` column) and returns its combined result."""
+    return map_buckets(
+        with_buckets(ds, keys, num_buckets, local_combine, batch_size),
+        num_buckets,
+        lambda group: bucket_fn(group.drop(columns=["_bucket"])),
     )
 
 
@@ -103,17 +179,15 @@ def single_bucket_merge(
     (per-batch local top-k / partial aggregate); this stage is the tiny
     tail, not the wide body."""
 
-    def const_key(batch: pd.DataFrame) -> pd.DataFrame:
+    def const_bucket(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch.copy()
-        out["_k"] = np.zeros(len(out), np.int8)
+        out["_bucket"] = np.zeros(len(out), np.int32)
         return out
 
-    return bucketed_map_groups(
-        ds.map_batches(const_key, batch_format="pandas", batch_size=batch_size),
-        ["_k"],
-        lambda b: merge_fn(b.drop(columns=["_k"])),
-        num_buckets=1,
-        batch_size=batch_size,
+    return map_buckets(
+        ds.map_batches(const_bucket, batch_format="pandas", batch_size=batch_size),
+        1,
+        lambda group: merge_fn(group.drop(columns=["_bucket"])),
     )
 
 

@@ -22,7 +22,7 @@ import ray.data as rd
 
 from ..state import metrics, store
 from ..util import default_pool
-from .shuffle import bucketed_map_groups
+from .shuffle import bucketed_map_groups, map_buckets
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -442,16 +442,17 @@ def ivf_index_build(
             lst = int(group["ivf_list"].iloc[0])
             pdir = os.path.join(tmp, f"list={lst}")
             os.makedirs(pdir, exist_ok=True)
-            group.sort_values(id_col, kind="mergesort").to_parquet(
-                os.path.join(pdir, "data.parquet"), index=False
-            )
+            group.drop(columns=["_bucket"]).sort_values(
+                id_col, kind="mergesort"
+            ).to_parquet(os.path.join(pdir, "data.parquet"), index=False)
             return pd.DataFrame({"list_id": [lst], "rows": [len(group)]})
 
-        written = (
-            assigned.groupby("ivf_list")
-            .map_groups(write_list, batch_format="pandas")
-            .to_pandas()
-        )
+        # the inverted list id is already a bucket id in [0, n_lists)
+        written = map_buckets(
+            assigned.add_column("_bucket", lambda b: b["ivf_list"]),
+            n_lists,
+            write_list,
+        ).to_pandas()
         lists = {
             str(int(l)): int(r)
             for l, r in sorted(zip(written["list_id"], written["rows"]))

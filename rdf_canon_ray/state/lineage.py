@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import os
 import time
+import traceback
 from typing import Callable, Sequence, Set
 
-import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from ..stages.shuffle import add_bucket
+from ..stages.shuffle import add_bucket, map_buckets
 from . import store
 
 
@@ -80,26 +80,41 @@ def resumable_bucket_run(
     an atomic parquet partition; buckets already marked complete are
     skipped at the *input filter*, before any shuffle work.
 
+    A failing ``bucket_fn`` does not stop the other buckets: they all
+    complete and publish, then a RuntimeError names the failed buckets
+    (a rerun redoes only those).
+
     Returns the run summary (bucket, rows, status, seconds) including
     previously-completed partitions (status="skipped")."""
     keys = list(keys)
     os.makedirs(out_root, exist_ok=True)
     done = completed_buckets(out_root, num_buckets=num_buckets, input_tag=input_tag)
 
-    def prepare(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            out = batch.copy()
-            out["_bucket"] = pd.Series([], dtype=np.int32)
-            return out
+    def prepare(batch: pd.DataFrame):
+        # a generator: a batch whose buckets are all done yields nothing,
+        # never a zero-row block
         out = add_bucket(batch, keys, num_buckets)
         if done:
             out = out[~out["_bucket"].isin(done)]
-        return out
+        if len(out):
+            yield out
 
     def run_and_write(group: pd.DataFrame) -> pd.DataFrame:
         bucket = int(group["_bucket"].iloc[0])
         t0 = time.time()
-        result = bucket_fn(group.drop(columns=["_bucket"]))
+        try:
+            result = bucket_fn(group.drop(columns=["_bucket"]))
+        except Exception:
+            # buckets run in parallel tasks: report the failure after the
+            # run, so every other bucket still completes and is published
+            return pd.DataFrame(
+                {
+                    "bucket": [bucket],
+                    "rows": [-1],
+                    "status": ["failed: " + traceback.format_exc()],
+                    "seconds": [round(time.time() - t0, 3)],
+                }
+            )
 
         def build(tmp: str) -> dict:
             result.to_parquet(os.path.join(tmp, "part.parquet"), index=False)
@@ -124,12 +139,19 @@ def resumable_bucket_run(
             }
         )
 
-    summary = (
-        ds.map_batches(prepare, batch_format="pandas", batch_size=32768)
-        .groupby("_bucket")
-        .map_groups(run_and_write, batch_format="pandas")
-        .to_pandas()
-    )
+    summary = map_buckets(
+        ds.map_batches(prepare, batch_format="pandas", batch_size=32768),
+        num_buckets,
+        run_and_write,
+    ).to_pandas()
+    if len(summary):
+        failed = summary[summary["status"].str.startswith("failed")]
+        if len(failed):
+            raise RuntimeError(
+                f"buckets {sorted(failed['bucket'])} failed; every other "
+                f"bucket is published. First failure:\n"
+                f"{failed['status'].iloc[0]}"
+            )
     skipped = pd.DataFrame(
         {
             "bucket": sorted(done),

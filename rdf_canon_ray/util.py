@@ -27,6 +27,14 @@ def default_pool(cap: int | None = None) -> tuple:
     return (1, max(2, n))
 
 
+def plan_partitions(n_units: int) -> int:
+    """The one partition plan: how many blocks (and so tasks) a stage of
+    ``n_units`` independent units — hash buckets, part files — runs as.
+    One block per core: every core gets work, and each task pays the
+    per-call fixed cost of its kernel once over a large input."""
+    return max(1, min(n_units, cluster_cpus()))
+
+
 def default_buckets(mult: int = 4, floor: int = 32, ceil: int = 1024) -> int:
     """Shuffle bucket count ≈ mult × cores, bounded. More buckets than
     cores keeps every core busy through the tail; the ceiling bounds

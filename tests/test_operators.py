@@ -538,6 +538,84 @@ def test_shuffle_backbone_matches_pandas(ray_session):
         assert d_got.equals(d_exp)
 
 
+@pytest.mark.parametrize("num_buckets", [1, 3, 64])
+def test_bucketed_map_groups_contract(ray_session, num_buckets):
+    """The planned exchange keeps the per-bucket contract: it makes
+    ``plan_partitions(num_buckets)`` blocks, every bucket reaches exactly
+    one ``bucket_fn`` call, and each call sees one whole bucket."""
+    import ray.data as rd
+
+    from rdf_canon_ray.stages.shuffle import (
+        add_bucket,
+        bucketed_map_groups,
+        exchange_buckets,
+        with_buckets,
+    )
+    from rdf_canon_ray.util import plan_partitions
+
+    df = pd.DataFrame({"k": np.arange(3000) % 101, "v": np.arange(3000)})
+    ds = rd.from_pandas(df, override_num_blocks=6)
+    bucket_of = dict(
+        zip(df["k"], add_bucket(df[["k"]], ["k"], num_buckets)["_bucket"])
+    )
+
+    def bucket_fn(group: pd.DataFrame) -> pd.DataFrame:
+        assert "_bucket" not in group.columns
+        return pd.DataFrame(
+            {"keys": [sorted(set(group["k"]))], "rows": [len(group)]}
+        )
+
+    calls = bucketed_map_groups(ds, ["k"], bucket_fn, num_buckets).to_pandas()
+    call_buckets = [{bucket_of[k] for k in keys} for keys in calls["keys"]]
+    assert all(len(b) == 1 for b in call_buckets)  # one bucket per call
+    seen = [b.pop() for b in call_buckets]
+    assert sorted(seen) == sorted(set(bucket_of.values()))  # once each
+    for keys, rows in zip(calls["keys"], calls["rows"]):  # whole buckets
+        assert rows == int(df["k"].isin(keys).sum())
+    assert sorted(k for keys in calls["keys"] for k in keys) == list(range(101))
+
+    blocks = exchange_buckets(
+        with_buckets(ds, ["k"], num_buckets), num_buckets
+    ).materialize()
+    assert blocks.num_blocks() == plan_partitions(num_buckets)
+
+
+def test_bucketed_map_groups_empty_input_and_single_merge(ray_session):
+    """An empty input makes no ``bucket_fn`` call; ``single_bucket_merge``
+    makes exactly one call over every row."""
+    import ray.data as rd
+
+    from rdf_canon_ray.stages.shuffle import bucketed_map_groups, single_bucket_merge
+
+    empty = rd.from_pandas(pd.DataFrame({"k": pd.Series([], dtype=np.int64)}))
+    out = bucketed_map_groups(
+        empty, ["k"], lambda g: pd.DataFrame({"rows": [len(g)]}), num_buckets=8
+    )
+    assert out.count() == 0
+
+    merged = single_bucket_merge(
+        rd.range(1000, override_num_blocks=7),
+        lambda g: pd.DataFrame({"rows": [len(g)], "total": [int(g["id"].sum())]}),
+    ).to_pandas()
+    assert merged.to_dict("list") == {"rows": [1000], "total": [499500]}
+
+
+def test_content_hash_batch_zero_rows_typed():
+    """A zero-row batch hashes to typed columns (string hash, int64
+    counts), not an untyped object column that Arrow reads as null."""
+    import pyarrow as pa
+
+    from rdf_canon_ray.stages.dedup import _content_hash_batch
+
+    empty = pd.DataFrame(
+        {"doc_id": pd.Series([], dtype=np.int64), "text": pd.Series([], dtype=object)}
+    )
+    schema = pa.Schema.from_pandas(_content_hash_batch(empty), preserve_index=False)
+    assert schema.field("content_hash").type == pa.string()
+    assert schema.field("doc_id").type == pa.int64()
+    assert schema.field("n_dups").type == pa.int64()
+
+
 def test_knn_join_tie_break_on_duplicate_refs(ray_session):
     """Exact score ties at the k-th boundary must resolve by ascending
     nn_id (duplicate reference embeddings force the tie)."""

@@ -117,6 +117,53 @@ def test_partitioned_path_matches_shuffle_path(ray_session, tmp_path):
     assert (a["status"] == "ok").all()
 
 
+def _tasks_of(ds, fn_name: str) -> int:
+    """Tasks run by the (possibly fused) map operator of ``fn_name`` in
+    a consumed Dataset, read from Ray's stats summary."""
+    import re
+
+    def flat(summary):
+        for parent in summary.parents:
+            yield from flat(parent)
+        yield from summary.operators_stats
+
+    for _ in ds.iter_batches(batch_size=None):
+        pass
+    counts = [
+        int(re.search(r"(\d+) tasks executed", op.block_execution_summary_str).group(1))
+        for op in flat(ds._get_stats_summary())
+        if f"MapBatches({fn_name})" in op.operator_name
+    ]
+    assert len(counts) == 1, counts
+    return counts[0]
+
+
+def test_flagship_stages_run_planned_task_counts(ray_session):
+    """Task counts follow ``util.plan_partitions``, not the upstream
+    block count: the flagship bucket stage runs one task per planned
+    block of buckets, and the partitioned path and the incremental
+    delta stage one task per planned block of part files."""
+    import os
+
+    from rdf_canon_ray.pipelines import kg
+    from rdf_canon_ray.util import cluster_cpus, default_buckets, plan_partitions
+
+    cores = cluster_cpus()
+    assert _tasks_of(kg.canonical_graphs_dataset(SF), "run_block") == (
+        plan_partitions(default_buckets())
+    )
+    assert _tasks_of(kg.canonical_graphs_partitioned(SF, 16), "process") == min(
+        16, cores
+    )
+    root = kg.transcripts_parquet_partitioned(SF, 16)
+    n_delta = sum(
+        int(d.split("=")[1]) % 4 == 0 for d in os.listdir(root) if d.startswith("part=")
+    )
+    assert _tasks_of(kg.canonical_incremental(SF, 16, delta_mod=4), "process") == min(
+        n_delta, cores
+    )
+
+
 def test_incremental_merge_equals_full_rebuild(ray_session):
     """Persisted base store ∪ delta canonicalization == from-scratch
     rebuild, byte-for-byte on the canonical documents."""

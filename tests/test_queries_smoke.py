@@ -53,6 +53,38 @@ def test_oracle_keys_subset_of_queries(registry):
     assert set(osql) <= set(qs)
 
 
+def _query_families() -> dict:
+    """``queries()`` keys grouped by the ``# <name> family`` comments of
+    its dict literal; the keys before the first such comment are the kg
+    sentinels."""
+    import inspect
+    import re
+
+    import __ray_entry__ as e
+
+    body = inspect.getsource(e.queries)
+    families: dict[str, list] = {}
+    current = "kg sentinels"
+    for line in body.splitlines():
+        fam = re.match(r"\s*#\s*(.+?) family\b", line)
+        if fam:
+            current = fam.group(1)
+        key = re.match(r'\s*"([^"]+)":', line)
+        if key:
+            families.setdefault(current, []).append(key.group(1))
+    return families
+
+
+def test_every_query_family_has_an_oracle(registry):
+    """Each ``queries()`` family has at least one oracle-checked member,
+    so no family is verified by smoke runs alone."""
+    qs, osql = registry
+    families = _query_families()
+    assert sorted(k for keys in families.values() for k in keys) == sorted(qs)
+    bare = sorted(f for f, keys in families.items() if not set(keys) & set(osql))
+    assert not bare, f"families without an oracle-checked member: {bare}"
+
+
 def test_no_duplicate_registry_keys():
     """AST-level guard: a duplicate key in any dict literal inside
     queries()/oracle_sql() silently keeps only the LAST value (bit us in

@@ -92,3 +92,30 @@ def test_exact_dedup_resumable(ray_session, tmp_path):
     # rerun: everything skipped, partitions untouched
     summary2 = run_exact_dedup_resumable(docs, out, num_buckets=8, input_tag=SF)
     assert (summary2["status"] == "skipped").all()
+
+
+def test_failed_bucket_does_not_stop_the_others(ray_session, tmp_path):
+    """A bucket_fn failure is raised after the run, once every other
+    bucket has completed and been published, so a rerun redoes only the
+    failed bucket."""
+    import pandas as pd
+    import ray.data as rd
+
+    from rdf_canon_ray.stages.shuffle import add_bucket
+    from rdf_canon_ray.state.lineage import completed_buckets, resumable_bucket_run
+
+    df = pd.DataFrame({"k": range(400), "v": range(400)})
+    bad = int(add_bucket(df.iloc[:1], ["k"], 8)["_bucket"].iloc[0])
+
+    def bucket_fn(group: pd.DataFrame) -> pd.DataFrame:
+        if (add_bucket(group.iloc[:1], ["k"], 8)["_bucket"] == bad).all():
+            raise ValueError("injected")
+        return group
+
+    out = str(tmp_path / "runs")
+    with pytest.raises(RuntimeError, match="injected"):
+        resumable_bucket_run(rd.from_pandas(df), ["k"], bucket_fn, out, num_buckets=8)
+    assert completed_buckets(out, num_buckets=8) == set(range(8)) - {bad}
+
+    summary = resumable_bucket_run(rd.from_pandas(df), ["k"], lambda g: g, out, num_buckets=8)
+    assert summary.loc[summary["status"] == "written", "bucket"].tolist() == [bad]
