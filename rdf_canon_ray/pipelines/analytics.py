@@ -25,6 +25,7 @@ import ray.data as rd
 
 from ..stages.shuffle import grouped_agg, single_bucket_merge
 from ..state import store
+from ..util import stage_fn
 
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
@@ -138,13 +139,8 @@ def top_customers(sf_dir: str, k: int = 10) -> rd.Dataset:
             batch["revenue"] = batch["revenue"].round(4)
             return batch
 
-    from ..util import default_pool
-
     named = merged.map_batches(
-        AttachName,
-        fn_constructor_kwargs={"ref": name_ref},
-        batch_format="pandas",
-        concurrency=default_pool(cap=8),
+        stage_fn(AttachName, ref=name_ref), batch_format="pandas"
     )
     top = named.sort(["revenue", "c_custkey"], descending=[True, False]).limit(k)
     return top
@@ -343,14 +339,10 @@ def local_supplier_volume(
             )
             return t.groupby("n_name", sort=False).sum().reset_index()
 
-    from ..util import default_pool
-
     partials = fact.map_batches(
-        RevenuePartial,
-        fn_constructor_kwargs={"ref": dims_ref},
+        stage_fn(RevenuePartial, ref=dims_ref),
         batch_format="pandas",
         batch_size=65536,
-        concurrency=default_pool(cap=8),
     )
     merged = grouped_agg(partials, ["n_name"], {"revenue": "sum"}, num_buckets=4)
     return merged.map_batches(
@@ -913,14 +905,10 @@ def docs_above_avg(sf_dir: str) -> rd.Dataset:
             )
             return t.groupby("source", sort=False).sum().reset_index()
 
-    from ..util import default_pool
-
     partials = docs.map_batches(
-        AboveMean,
-        fn_constructor_kwargs={"ref": means_ref},
+        stage_fn(AboveMean, ref=means_ref),
         batch_format="pandas",
         batch_size=65536,
-        concurrency=default_pool(cap=8),
     )
     merged = grouped_agg(
         partials, ["source"], {"n_docs": "sum", "n_above": "sum"}, num_buckets=2
@@ -1122,7 +1110,6 @@ def heavy_hitters(sf_dir: str, capacity: int = 256) -> rd.Dataset:
     term table never shuffles in either pass.  Output: (term, n), exact,
     whitespace tokenizer (parity with ``top_terms``)."""
     from ..stages.shuffle import bucketed_map_groups
-    from ..util import default_pool
 
     docs = _read(sf_dir, "documents", columns=["text"])
 
@@ -1187,11 +1174,9 @@ def heavy_hitters(sf_dir: str, capacity: int = 256) -> rd.Dataset:
             )
 
     partials = docs.map_batches(
-        CandidateCount,
-        fn_constructor_kwargs={"ref": cand_ref},
+        stage_fn(CandidateCount, ref=cand_ref),
         batch_format="pandas",
         batch_size=2048,
-        concurrency=default_pool(cap=8),
     )
     exact = grouped_agg(partials, ["term"], {"n": "sum"}, num_buckets=2)
     threshold = total_tokens / capacity
@@ -2237,14 +2222,10 @@ def search_topk(sf_dir: str, n_query_terms: int = 3, k: int = 10) -> rd.Dataset:
                 ["score", "doc_id"], ascending=[False, True], kind="mergesort"
             ).head(k)
 
-    from ..util import default_pool
-
     scored = docs.map_batches(
-        Scorer,
-        fn_constructor_kwargs={"ref": idf_ref},
+        stage_fn(Scorer, ref=idf_ref),
         batch_format="pandas",
         batch_size=2048,
-        concurrency=default_pool(cap=8),
     )
 
     return _topk_score_merge(scored, k)
@@ -3350,8 +3331,6 @@ def search_bm25(
     avgdl (per-batch token-count partials → one sum).  Query = the
     ``n_query_terms`` highest-df terms (deterministic, derivable in
     SQL).  Output: (doc_id, score rounded 6dp)."""
-    from ..util import default_pool
-
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = float(docs.count())
 
@@ -3414,11 +3393,9 @@ def search_bm25(
             ).head(k)
 
     scored = docs.map_batches(
-        Scorer,
-        fn_constructor_kwargs={"ref": idf_ref},
+        stage_fn(Scorer, ref=idf_ref),
         batch_format="pandas",
         batch_size=2048,
-        concurrency=default_pool(cap=8),
     )
 
     return _topk_score_merge(scored, k)

@@ -15,7 +15,7 @@ import ray.data as rd
 
 from ..stages import dedup, multimodal, similarity, text, vhash, webtext
 from ..state import store
-from ..util import default_pool
+from ..util import stage_fn
 
 
 def _input_fingerprint(sf_dir: str, table: str) -> list:
@@ -37,25 +37,25 @@ def dedup_exact(sf_dir: str) -> rd.Dataset:
 
 def token_stats(sf_dir: str) -> rd.Dataset:
     return _docs(sf_dir).map_batches(
-        text.TokenStats, batch_format="pandas", batch_size=4096, concurrency=default_pool()
+        stage_fn(text.TokenStats), batch_format="pandas", batch_size=4096
     )
 
 
 def quality_scores(sf_dir: str) -> rd.Dataset:
     return _docs(sf_dir).map_batches(
-        text.QualityScore, batch_format="pandas", batch_size=4096, concurrency=default_pool()
+        stage_fn(text.QualityScore), batch_format="pandas", batch_size=4096
     )
 
 
 def lang_id(sf_dir: str) -> rd.Dataset:
     return _docs(sf_dir).map_batches(
-        text.LangId, batch_format="pandas", batch_size=4096, concurrency=default_pool()
+        stage_fn(text.LangId), batch_format="pandas", batch_size=4096
     )
 
 
 def fingerprints(sf_dir: str) -> rd.Dataset:
     return _docs(sf_dir).map_batches(
-        text.Fingerprint, batch_format="pandas", batch_size=4096, concurrency=default_pool()
+        stage_fn(text.Fingerprint), batch_format="pandas", batch_size=4096
     )
 
 
@@ -77,10 +77,6 @@ def _minhash_sig_cache(
     """Persist the already-deduped corpus's minhash signatures (doc_id <
     split_id) — the INDEX an incremental dedup pass reads instead of
     re-hashing the whole corpus when a new shard arrives."""
-    import functools
-
-    from ..stages.dedup import _minhash_batch
-
     tag = os.path.basename(os.path.normpath(sf_dir))
     # EVERY signature-shaping parameter belongs in the cache key — a
     # cache built at one n_perm must never serve another
@@ -96,8 +92,8 @@ def _minhash_sig_cache(
             batch_size=32768,
         )
         old.map_batches(
-            functools.partial(
-                _minhash_batch, id_col="doc_id", text_col="text",
+            stage_fn(
+                dedup.MinHasher, id_col="doc_id", text_col="text",
                 n_perm=n_perm, shingle_k=shingle_k, shingle_mode="char",
             ),
             batch_format="pandas",
@@ -121,9 +117,7 @@ def dedup_incremental(
     100 TB.
 
     Output: (id_a, id_b, jaccard) for pairs with at least one new doc."""
-    import functools
-
-    from ..stages.dedup import _minhash_batch, minhash_lsh_pairs
+    from ..stages.dedup import minhash_lsh_pairs
     from ..util import default_buckets
 
     sig_path = _minhash_sig_cache(sf_dir, split_id)
@@ -140,8 +134,8 @@ def dedup_incremental(
             batch_size=32768,
         )
         .map_batches(
-            functools.partial(
-                _minhash_batch, id_col="doc_id", text_col="text",
+            stage_fn(
+                dedup.MinHasher, id_col="doc_id", text_col="text",
                 n_perm=128, shingle_k=5, shingle_mode="char",
             ),
             batch_format="pandas",
@@ -484,10 +478,7 @@ def hash_split(sf_dir: str) -> rd.Dataset:
     """Deterministic content-stable train/val/test split assignment
     (md5 2-hex-char buckets; reproducible in SQL)."""
     return _docs(sf_dir).map_batches(
-        text.HashSplit,
-        batch_format="pandas",
-        batch_size=8192,
-        concurrency=default_pool(),
+        stage_fn(text.HashSplit), batch_format="pandas", batch_size=8192
     )
 
 
@@ -517,11 +508,9 @@ def decontaminate(sf_dir: str, n: int = 8, bench_docs: int = 10) -> rd.Dataset:
 
     bench_ref = ray.put(_bench_shingles(sf_dir, n, bench_docs))
     return _docs(sf_dir).map_batches(
-        text.Decontaminate,
-        fn_constructor_kwargs={"bench_ref": bench_ref, "n": n},
+        stage_fn(text.Decontaminate, bench_ref=bench_ref, n=n),
         batch_format="pandas",
         batch_size=8192,
-        concurrency=default_pool(),
     )
 
 
@@ -1062,11 +1051,7 @@ def embedding_zscore_checksums(sf_dir: str) -> rd.Dataset:
             )
 
     return emb.map_batches(
-        ZScore,
-        fn_constructor_kwargs={"ref": params},
-        batch_format="pandas",
-        batch_size=8192,
-        concurrency=default_pool(cap=8),
+        stage_fn(ZScore, ref=params), batch_format="pandas", batch_size=8192
     )
 
 
@@ -1147,10 +1132,7 @@ def shuffle_order(sf_dir: str, num_prefix_buckets: int = 256) -> rd.Dataset:
 def repetition_stats(sf_dir: str) -> rd.Dataset:
     """Intra-document repetition quality signals (Gopher-style)."""
     return _docs(sf_dir).map_batches(
-        text.RepetitionStats,
-        batch_format="pandas",
-        batch_size=4096,
-        concurrency=default_pool(),
+        stage_fn(text.RepetitionStats), batch_format="pandas", batch_size=4096
     )
 
 
@@ -1168,7 +1150,7 @@ def fuzzy_name_pairs(sf_dir: str) -> rd.Dataset:
 class _Curator:
     """Fused map-only curation gate: quality ≥ threshold AND not
     benchmark-contaminated, in ONE pass (two broadcast-state stages
-    fused into a single actor so the corpus is read once); passes
+    fused into a single stage so the corpus is read once); passes
     (doc_id, text) through for the downstream near-dup clean."""
 
     def __init__(self, bench_ref, n: int = 8, quality_threshold: float = 0.5):
@@ -1218,15 +1200,14 @@ def curate_corpus(
 
     def filtered() -> rd.Dataset:
         return _docs(sf_dir).map_batches(
-            _Curator,
-            fn_constructor_kwargs={
-                "bench_ref": bench_ref,
-                "n": n,
-                "quality_threshold": quality_threshold,
-            },
+            stage_fn(
+                _Curator,
+                bench_ref=bench_ref,
+                n=n,
+                quality_threshold=quality_threshold,
+            ),
             batch_format="pandas",
             batch_size=4096,
-            concurrency=default_pool(),
         )
 
     pairs = minhash_lsh_pairs(

@@ -45,12 +45,11 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..stages.canonicalize import _cached_linker
 from ..stages.joins import hash_join
 from ..stages.shuffle import bucketed_map_groups, distinct, grouped_agg
 from ..state import store
-from ..transcripts.extract import extract_mentions_arrow
-from ..util import default_buckets
+from ..transcripts.extract import EntityLinker, extract_mentions_arrow
+from ..util import default_buckets, stage_instance
 from .kg import _link_batches, transcripts_parquet
 
 DAMPING = 0.85
@@ -375,14 +374,14 @@ def _partition_pairs(path: str, maps_ref) -> pd.DataFrame:
     per-conversation dedup + expansion never crosses the file)."""
     import pyarrow.parquet as pq
 
-    # _cached_linker / extract_mentions_arrow are imported at MODULE
+    # stage_instance / extract_mentions_arrow are imported at MODULE
     # scope: this function runs inside worker-shipped UDFs, where an
     # import executed in the body fails when the driver cwd != repo
     # root (CLAUDE.md hard rule; cloudpickle registers the module).
     tbl = pq.read_table(
         path, columns=["conv_id", "turn_idx", "role", "text"]
     )
-    linker = _cached_linker(maps_ref)
+    linker = stage_instance(EntityLinker, maps_ref=maps_ref)
     ments = linker._mention_rows_arrow(extract_mentions_arrow(tbl))
     return _expand_conv_pairs(_encode_mentions(ments), None)
 
@@ -416,6 +415,7 @@ def comention_store(
     from .kg import (
         _link_maps_ref,
         _partition_paths,
+        bucket_store,
         transcripts_parquet_partitioned,
     )
 
@@ -423,42 +423,18 @@ def comention_store(
     out_dir = os.path.join(
         cache_root, tag, f"comention_store_{num_buckets}_d{delta_mod}"
     )
-    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
-    parts = _partition_paths(root)
-    base = {b: p for b, p in parts.items() if b % delta_mod != 0}
+    root = transcripts_parquet_partitioned(sf_dir, num_buckets, cache_root)
+    base = {
+        b: p for b, p in _partition_paths(root).items() if b % delta_mod != 0
+    }
 
-    def build(tmp: str) -> None:
+    def make_part_table():
         maps_ref = _link_maps_ref(sf_dir)
-
-        def build_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-            import pyarrow.parquet as pq
-
-            # loop over every descriptor row: fusion may bundle the 1-row
-            # descriptors (standing trap) — an iloc[0]-only read would
-            # silently skip the other buckets in the bundle
-            bs, ns = [], []
-            for path, b in zip(batch["path"], batch["bucket"]):
-                pairs = _partition_pairs(path, maps_ref)
-                pdir = os.path.join(tmp, f"part={int(b)}")
-                os.makedirs(pdir, exist_ok=True)
-                pq.write_table(
-                    pa.Table.from_pandas(pairs, preserve_index=False),
-                    os.path.join(pdir, "data.parquet"),
-                )
-                bs.append(int(b))
-                ns.append(len(pairs))
-            return pd.DataFrame({"bucket": bs, "rows": ns})
-
-        (
-            rd.from_items(
-                [{"path": p, "bucket": b} for b, p in sorted(base.items())],
-                override_num_blocks=max(1, len(base)),
-            )
-            .map_batches(build_bucket, batch_format="pandas", batch_size=1)
-            .count()
+        return lambda path: pa.Table.from_pandas(
+            _partition_pairs(path, maps_ref), preserve_index=False
         )
 
-    return store.cached(out_dir, store.stat_files(base), build)
+    return bucket_store(out_dir, base, make_part_table)
 
 
 def comention_incremental(

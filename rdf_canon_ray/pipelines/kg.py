@@ -32,12 +32,12 @@ import ray.data as rd
 
 from ..stages.canonicalize import (
     _GRAPH_SCHEMA,
-    _cached_linker,
     canonicalize_bucket,
     canonicalize_graphs,
 )
 from ..transcripts.extract import (
     _EXTRACT_COLS,
+    EntityLinker,
     build_link_maps,
     extract_mentions_arrow,
 )
@@ -47,7 +47,7 @@ from ..transcripts.gen import (
     source_fingerprint,
     transcripts_parquet,
 )
-from ..util import default_buckets, plan_partitions
+from ..util import default_buckets, plan_partitions, stage_instance
 
 # Driver-side serial floor: the dimension-table reads behind
 # build_link_maps and the ray.put of the result are identical across
@@ -132,8 +132,8 @@ def _link_batches(
     (``_triples_arrow``/``_mention_rows_arrow``/``_links_arrow``):
     extraction emits Arrow, linking stays Arrow (C++ ``index_in``
     lookups), and the exchange prepare is zero-copy.  The linker is
-    built once per worker process via the linker cache, tasks scale
-    instantly.  ``partitioned`` resolves the surfaces with
+    built once per worker process (``util.stage_instance``), tasks
+    scale instantly.  ``partitioned`` resolves the surfaces with
     co-partitioned hash joins first, and the emitter reads the
     pre-resolved key columns instead of broadcast maps."""
     if partitioned:
@@ -144,7 +144,8 @@ def _link_batches(
         mentions = mentions_dataset(sf_dir, transcripts)
 
     def emit(batch):
-        return getattr(_cached_linker(maps_ref), emitter)(batch)
+        linker = stage_instance(EntityLinker, maps_ref=maps_ref)
+        return getattr(linker, emitter)(batch)
 
     return mentions.map_batches(emit, batch_format="pyarrow", batch_size=8192)
 
@@ -498,6 +499,39 @@ def _partition_paths(root: str) -> dict:
     return out
 
 
+def bucket_store(out_dir: str, base: dict, make_part_table) -> str:
+    """Persisted per-bucket store over the ``base`` part files (bucket
+    id → path of a conv-partitioned layout).  Only when the store is
+    (re)built, ``make_part_table()`` runs on the driver and returns the
+    per-file function: ``path`` → one bucket's rows as an Arrow table,
+    written to ``part=b/data.parquet``.  Map-only, one task per planned
+    block of files (``plan_partitions``); fingerprinted
+    on the base files themselves, so a layout rewritten in place
+    invalidates the store instead of feeding a stale base into an
+    incremental merge."""
+    import pyarrow.parquet as pq
+
+    def build(tmp: str) -> None:
+        part_table = make_part_table()
+
+        def write_block(batch: pd.DataFrame) -> pd.DataFrame:
+            rows = []
+            for path, b in zip(batch["path"], batch["bucket"]):
+                table = part_table(path)
+                pdir = os.path.join(tmp, f"part={int(b)}")
+                os.makedirs(pdir, exist_ok=True)
+                pq.write_table(table, os.path.join(pdir, "data.parquet"))
+                rows.append(table.num_rows)
+            return pd.DataFrame({"bucket": batch["bucket"], "rows": rows})
+
+        rd.from_items(
+            [{"path": p, "bucket": b} for b, p in sorted(base.items())],
+            override_num_blocks=plan_partitions(len(base)),
+        ).map_batches(write_block, batch_format="pandas", batch_size=None).count()
+
+    return store.cached(out_dir, store.stat_files(base), build)
+
+
 def canonical_store(
     sf_dir: str,
     num_buckets: int = 128,
@@ -512,8 +546,6 @@ def canonical_store(
     refresh.  At 100 TB this is the standing canonical corpus next to
     the conversation log; the delta buckets play 'newly arrived
     conversations'."""
-    import pandas as pd
-
     tag = os.path.basename(os.path.normpath(sf_dir))
     # hash_name is part of the cache key: a sha256 store must never be
     # served to a sha384 incremental merge
@@ -521,43 +553,15 @@ def canonical_store(
         cache_root, tag, f"canon_store_{num_buckets}_d{delta_mod}_{hash_name}"
     )
     root = transcripts_parquet_partitioned(sf_dir, num_buckets, cache_root)
-    parts = _partition_paths(root)
-    base = {b: p for b, p in parts.items() if b % delta_mod != 0}
+    base = {
+        b: p for b, p in _partition_paths(root).items() if b % delta_mod != 0
+    }
 
-    def build(tmp: str) -> None:
+    def make_part_table():
         process = _canonicalize_part_files(_link_maps_ref(sf_dir), hash_name, None)
+        return lambda path: process(pd.DataFrame({"path": [path]}))
 
-        def build_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-            import pyarrow.parquet as pq
-
-            # one store partition PER descriptor row: operator fusion can
-            # bundle the 1-row descriptors (standing trap) — writing a
-            # bundled batch under iloc[0]'s bucket would mislabel (and at
-            # merge time lose) every other bucket in the bundle
-            bs, ns = [], []
-            for i in range(len(batch)):
-                rows = process(batch.iloc[i : i + 1])  # pa.Table
-                b = int(batch["bucket"].iloc[i])
-                pdir = os.path.join(tmp, f"part={b}")
-                os.makedirs(pdir, exist_ok=True)
-                pq.write_table(rows, os.path.join(pdir, "data.parquet"))
-                bs.append(b)
-                ns.append(rows.num_rows)
-            return pd.DataFrame({"bucket": bs, "rows": ns})
-
-        (
-            rd.from_items(
-                [{"path": p, "bucket": b} for b, p in sorted(base.items())],
-                override_num_blocks=max(1, len(base)),
-            )
-            .map_batches(build_bucket, batch_format="pandas", batch_size=1)
-            .count()
-        )
-
-    # fingerprinted on the BASE partition files themselves: a layout
-    # rewritten in place invalidates the store instead of feeding a
-    # stale base into the incremental merge
-    return store.cached(out_dir, store.stat_files(base), build)
+    return bucket_store(out_dir, base, make_part_table)
 
 
 def _canonical_delta(

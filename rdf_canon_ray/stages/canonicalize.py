@@ -31,6 +31,7 @@ from ..core.canon import (
 )
 from ..core.terms import BNODE, DEFAULT, IRI, LITERAL
 from ..transcripts.extract import EntityLinker
+from ..util import stage_instance
 
 # canonical-graph row schema (canonicalize_one's dict): declared
 # explicitly so empty buckets never infer null-typed columns
@@ -187,23 +188,6 @@ def canonicalize_graphs(
     )
 
 
-_LINKER_CACHE: dict = {}
-
-
-def _cached_linker(maps_ref):
-    """Deserialize the broadcast link maps once per worker process (the
-    cache key is the object ref), not once per bucket task.
-
-    NOTE: ``EntityLinker`` must be imported at module scope — a lazy
-    relative import here would execute on the worker, where the package
-    may not be importable (UDFs ship by value, modules don't)."""
-    key = maps_ref.hex() if hasattr(maps_ref, "hex") else id(maps_ref)
-    linker = _LINKER_CACHE.get(key)
-    if linker is None:
-        linker = _LINKER_CACHE[key] = EntityLinker(maps_ref)
-    return linker
-
-
 def canonicalize_bucket(
     mentions: pd.DataFrame,
     maps_ref,
@@ -219,7 +203,7 @@ def canonicalize_bucket(
     documents are ~0.5 GB of strings at sf0.1 — Arrow blocks store and
     ship them zero-copy through the object store, where pandas object
     columns would pickle (measured ~0.7 s off the sf0.1 headline)."""
-    quads = _cached_linker(maps_ref)(mentions)
+    quads = stage_instance(EntityLinker, maps_ref=maps_ref)(mentions)
     rows = [
         canonicalize_one(gid, tuples, hash_name, hndq_call_limit, structure=True)
         for gid, tuples in iter_graph_tuples(quads)
@@ -249,7 +233,7 @@ def canonicalize_mentions(
     table this moves ~6× fewer rows/bytes through the exchange — the
     quad expansion is recomputed post-shuffle where it is cheap and
     local.  Link maps are broadcast (``ray.put``) and deserialized once
-    per worker via ``_cached_linker``."""
+    per worker process (``util.stage_instance``)."""
     from .shuffle import exchange_buckets, with_buckets
 
     def run_block(block: pd.DataFrame) -> pa.Table:

@@ -47,6 +47,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..state import metrics
+from ..util import stage_fn, stage_instance
 from .shuffle import bucketed_map_groups, grouped_agg
 
 _MERSENNE = (1 << 61) - 1
@@ -394,38 +395,6 @@ class JaccardVerifier:
         return out[out["jaccard"] >= self.threshold]
 
 
-# Stateless-task stages with process-level singleton caches: tasks scale
-# to every free core instantly, while autoscaling actor pools ramp too
-# slowly for seconds-long stages (several pools in one DAG starve each
-# other's reservations).  Construction is cheap; the cache just avoids
-# re-deriving the minhash coefficient arrays per batch.
-_STAGE_CACHE: dict = {}
-
-
-def _cached_stage(cls, **kw):
-    key = (cls.__name__, tuple(sorted(kw.items())))
-    inst = _STAGE_CACHE.get(key)
-    if inst is None:
-        inst = _STAGE_CACHE[key] = cls(**kw)
-    return inst
-
-
-def _minhash_batch(batch: pd.DataFrame, **kw) -> pd.DataFrame:
-    return _cached_stage(MinHasher, **kw)(batch)
-
-
-def _bands_batch(batch: pd.DataFrame, **kw) -> pd.DataFrame:
-    return _cached_stage(BandEmitter, **kw)(batch)
-
-
-def _verify_batch(batch: pd.DataFrame, **kw) -> pd.DataFrame:
-    return _cached_stage(JaccardVerifier, **kw)(batch)
-
-
-def _simhash_batch(batch: pd.DataFrame, **kw) -> pd.DataFrame:
-    return _cached_stage(SimHasher, **kw)(batch)
-
-
 def _min_band_matches(threshold: float, n_bands: int, rows_per_band: int) -> int:
     """Largest safe band-match prefilter: require m ≥ 2 only when a true
     pair at the threshold collides per band with probability high enough
@@ -475,12 +444,10 @@ def minhash_lsh_pairs(
     metrics.ensure()  # driver-owned counter actor for drop reporting
     if texts is None:
         texts = ds
-    import functools
-
     if sigs is None:
         sigs = ds.map_batches(
-            functools.partial(
-                _minhash_batch,
+            stage_fn(
+                MinHasher,
                 id_col=id_col,
                 text_col=text_col,
                 n_perm=n_perm,
@@ -491,9 +458,7 @@ def minhash_lsh_pairs(
             batch_size=256,  # signature compute dominates: many small tasks
         )
     bands = sigs.map_batches(
-        functools.partial(
-            _bands_batch, id_col=id_col, n_bands=n_bands, n_perm=n_perm
-        ),
+        stage_fn(BandEmitter, id_col=id_col, n_bands=n_bands, n_perm=n_perm),
         batch_format="pandas",
         batch_size=1024,
     )
@@ -609,7 +574,7 @@ def minhash_lsh_pairs(
                 "text_b": p["k"].map(lookup).to_numpy(dtype=object),
             }
         )
-        return _cached_stage(JaccardVerifier, **verifier_kw)(joined)
+        return stage_instance(JaccardVerifier, **verifier_kw)(joined)
 
     return bucketed_map_groups(
         mixed_b, ["k"], attach_verify, num_buckets=num_buckets,
@@ -773,12 +738,6 @@ def dup_groups_from_pairs(
 
 
 # -------------------------------------------------------------- simhash
-# process-level token→hash cache: md5 is Python-level work per UNIQUE
-# token, amortized across every batch a worker processes (Zipf
-# vocabulary → near-total hit rate after warmup)
-_SIMHASH_TOKEN_CACHE: dict = {}
-
-
 def _md5_64_local(s: str) -> int:
     """Big-endian first 8 bytes of md5 — equals int(md5_hex[:16], 16)."""
     return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8], "big")
@@ -799,6 +758,10 @@ class SimHasher:
         self.id_col = id_col
         self.text_col = text_col
         self.word_re = re.compile(r"[A-Za-z0-9]+")
+        # token → hash: md5 is Python-level work per UNIQUE token,
+        # amortized over every batch of the worker process that holds
+        # this stage (Zipf vocabulary → near-total hit rate after warmup)
+        self.token_hash: dict = {}
 
     _SHIFTS = np.arange(64, dtype=np.uint64)
 
@@ -807,7 +770,7 @@ class SimHasher:
         if not toks:
             return np.uint64(0)
         counts = pd.Series(toks, dtype=object).value_counts()
-        cache = _SIMHASH_TOKEN_CACHE
+        cache = self.token_hash
         h = np.fromiter(
             (
                 cache.get(t) or cache.setdefault(t, _md5_64_local(t))
@@ -854,11 +817,9 @@ def simhash_pairs(
             f"max_hamming={max_hamming}: 4x16-bit band blocking only "
             "guarantees recall for hamming <= 3"
         )
-    import functools
-
     metrics.ensure()
     sigs = ds.map_batches(
-        functools.partial(_simhash_batch, id_col=id_col, text_col=text_col),
+        stage_fn(SimHasher, id_col=id_col, text_col=text_col),
         batch_format="pandas",
         batch_size=512,
     )

@@ -19,9 +19,9 @@ behind an explicit ``use_pil=True`` flag only — the default path must
 stay environment-independent so the DuckDB oracles (which recompute the
 pixel math from payload bytes) hold on every machine.
 
-Ray-side shape: actor-pool ``map_batches`` stages with small
-``batch_size`` (payload bytes dominate block memory), zero-copy Arrow
-batches, per-actor setup in ``__init__``.
+Ray-side shape: stateless ``map_batches`` tasks (``util.stage_fn``)
+with small ``batch_size`` (payload bytes dominate block memory),
+zero-copy Arrow batches, per-process setup in ``__init__``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..util import default_pool
+from ..util import stage_fn
 
 try:  # optional alternative decode path, see module docstring
     from PIL import Image as _PIL_Image  # pragma: no cover
@@ -252,7 +252,7 @@ def _sha_fallback(payload: bytes, dim: int) -> np.ndarray:
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: decode payloads and emit fixed-size feature
+    """Stateful stage: decode payloads and emit fixed-size feature
     vectors (content-byte chunk sums).  Small ``batch_size`` is
     mandatory — payload bytes dominate block memory.
 
@@ -309,18 +309,16 @@ def media_features(
     ds: rd.Dataset, feature_dim: int = 64, use_pil: bool = False
 ) -> rd.Dataset:
     return ds.map_batches(
-        MediaFeatureExtractor,
-        fn_constructor_kwargs={"feature_dim": feature_dim, "use_pil": use_pil},
+        stage_fn(MediaFeatureExtractor, feature_dim=feature_dim, use_pil=use_pil),
         batch_format="pyarrow",
         batch_size=64,          # large binary rows → small batches
-        concurrency=default_pool(cap=8),
         num_cpus=1,
     )
 
 
 # -------------------------------------------------------------- resize
 class ImageResizer:
-    """Actor-pool resize stage: decode PPM → nearest-neighbor resample
+    """Stateful resize stage: decode PPM → nearest-neighbor resample
     (floor grid, integer math — SQL-reproducible) → re-encode PPM.
     Undecodable image payloads keep the legacy deterministic
     byte-resample stub with ``resized=False``."""
@@ -378,19 +376,15 @@ def resize_images(
     ds: rd.Dataset, width: int = 64, height: int = 64, use_pil: bool = False
 ) -> rd.Dataset:
     return ds.map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={
-            "width": width, "height": height, "use_pil": use_pil,
-        },
+        stage_fn(ImageResizer, width=width, height=height, use_pil=use_pil),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=default_pool(cap=8),
     )
 
 
 # --------------------------------------------------------------- audio
 class AudioResampler:
-    """Actor-pool audio stage: decode WAV (8-bit PCM mono) → integer
+    """Stateful audio stage: decode WAV (8-bit PCM mono) → integer
     decimation by ``factor`` (keep every factor-th sample — the exact,
     oracle-checkable resample; production swaps in a polyphase filter)
     → re-encode WAV at ``rate // factor``.  Non-audio rows pass through
@@ -431,11 +425,9 @@ class AudioResampler:
 
 def resample_audio(ds: rd.Dataset, factor: int = 4) -> rd.Dataset:
     return ds.map_batches(
-        AudioResampler,
-        fn_constructor_kwargs={"factor": factor},
+        stage_fn(AudioResampler, factor=factor),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=default_pool(cap=8),
     )
 
 

@@ -21,7 +21,7 @@ import ray
 import ray.data as rd
 
 from ..state import metrics, store
-from ..util import default_pool
+from ..util import stage_fn
 from .shuffle import bucketed_map_groups, map_buckets
 
 
@@ -104,16 +104,11 @@ def cosine_topk(
     Output: (query_id, rank, vec_id, score[rounded 6dp])."""
     qref = ray.put(np.asarray(queries, dtype=np.float64))
     local = ds.map_batches(
-        BatchTopK,
-        fn_constructor_kwargs={
-            "queries_ref": qref,
-            "k": k,
-            "id_col": id_col,
-            "vec_col": vec_col,
-        },
+        stage_fn(
+            BatchTopK, queries_ref=qref, k=k, id_col=id_col, vec_col=vec_col
+        ),
         batch_format="pandas",
         batch_size=4096,
-        concurrency=default_pool(),
     )
 
     def merge(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -186,15 +181,11 @@ def lsh_cosine_topk(
     qb_ref = ray.put(qbuckets)
 
     signed = ds.map_batches(
-        HyperplaneSigner,
-        fn_constructor_kwargs={
-            "planes_ref": planes_ref,
-            "id_col": id_col,
-            "vec_col": vec_col,
-        },
+        stage_fn(
+            HyperplaneSigner, planes_ref=planes_ref, id_col=id_col, vec_col=vec_col
+        ),
         batch_format="pandas",
         batch_size=4096,
-        concurrency=default_pool(),
     )
 
     def scan_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -287,18 +278,16 @@ def _train_and_assign(ds, n_lists, train_sample, id_col, vec_col):
     centroids = train_ivf_centroids(sample, n_lists)
     cref = ray.put(centroids)
     assigned = ds.map_batches(
-        _AssignList,
-        fn_constructor_kwargs={"cref": cref, "id_col": id_col, "vec_col": vec_col},
+        stage_fn(_AssignList, cref=cref, id_col=id_col, vec_col=vec_col),
         batch_format="pandas",
         batch_size=4096,
-        concurrency=default_pool(),
     )
     return centroids, assigned
 
 
 class _AssignList:
     """Vector → nearest-centroid inverted-list assignment (centroids
-    broadcast once per actor)."""
+    broadcast once per worker process)."""
 
     def __init__(self, cref, id_col, vec_col):
         self.c = ray.get(cref) if not isinstance(cref, np.ndarray) else cref
@@ -545,15 +534,11 @@ def embedding_near_dup_pairs(
     dim = _probe_dim(ds, vec_col)
     planes_ref = ray.put(make_planes(dim, n_bits, seed))
     signed = ds.map_batches(
-        HyperplaneSigner,
-        fn_constructor_kwargs={
-            "planes_ref": planes_ref,
-            "id_col": id_col,
-            "vec_col": vec_col,
-        },
+        stage_fn(
+            HyperplaneSigner, planes_ref=planes_ref, id_col=id_col, vec_col=vec_col
+        ),
         batch_format="pandas",
         batch_size=4096,
-        concurrency=default_pool(),
     )
 
     def pairs(bucket: pd.DataFrame) -> pd.DataFrame:

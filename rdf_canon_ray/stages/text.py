@@ -1,8 +1,8 @@
 """Text-analysis operators over document corpora (training-data pipeline).
 
 All stages are vectorized ``map_batches`` transforms; the ones holding
-compiled state (regexes, stopword tables) are callable classes → actor
-pools.  Designed for the ``documents`` table
+compiled state (regexes, stopword tables) are callable classes, run as
+stateless tasks built once per worker process (``util.stage_fn``).  Designed for the ``documents`` table
 (``doc_id, text, lang, source, n_chars``) but generic over any
 ``(id_col, text_col)`` pair.
 
@@ -97,7 +97,7 @@ class QualityScore:
 
 # Character-trigram profiles for a tiny deterministic language-ID
 # heuristic. Real deployments swap a fastText-style model into this same
-# actor; the Ray plumbing (actor pool, batched scoring) is identical.
+# stage; the Ray plumbing (``util.stage_fn``, batched scoring) is identical.
 _LANG_PROFILES = {
     "en": {"the", " th", "he ", "ing", "ng ", "and", "nd ", " an", "ion", " of"},
     "de": {"en ", "er ", "ch ", "der", " de", "ein", "sch", "die", "und", " un"},

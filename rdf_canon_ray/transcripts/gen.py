@@ -23,8 +23,8 @@ preserving per-turn text equality.
 
 Scale design: generation is MAP-ONLY — two ``map_batches`` unioned, no
 shuffle. The small dimension tables (customer, part, supplier) are
-broadcast once via ``ray.put`` and read inside each actor's ``__init__``,
-never re-shipped per batch.
+broadcast once via ``ray.put`` and read once per worker process by the
+stage's ``__init__`` (``util.stage_fn``), never re-shipped per batch.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import ray
 import ray.data as rd
 
 from ..state import store
+from ..util import stage_fn
 
 # the sf_dir tables build_transcripts reads
 _SOURCE_TABLES = ("orders", "lineitem", "customer", "part", "supplier")
@@ -180,7 +181,7 @@ class ItemTurns:
         )
 
 
-def build_transcripts(sf_dir: str, concurrency: int | None = None) -> rd.Dataset:
+def build_transcripts(sf_dir: str) -> rd.Dataset:
     """Transcript Dataset for one scale factor. Map-only: no shuffle."""
     cust_ref = ray.put(_customer_map(sf_dir))
     part_ref = ray.put(_part_maps(sf_dir))
@@ -208,25 +209,15 @@ def build_transcripts(sf_dir: str, concurrency: int | None = None) -> rd.Dataset
             "l_shipdate",
         ],
     )
-    # Autoscaling pools from min=1: several pools coexist in one pipeline,
-    # so a fixed min size can over-reserve a small cluster and deadlock the
-    # streaming executor.
-    from ..util import default_pool
-
-    pool = concurrency or default_pool()
     header = orders.map_batches(
-        OrderTurns,
-        fn_constructor_kwargs={"customer_ref": cust_ref},
+        stage_fn(OrderTurns, customer_ref=cust_ref),
         batch_format="pandas",
         batch_size=8192,
-        concurrency=pool,
     )
     items = lineitem.map_batches(
-        ItemTurns,
-        fn_constructor_kwargs={"part_ref": part_ref, "supplier_ref": supp_ref},
+        stage_fn(ItemTurns, part_ref=part_ref, supplier_ref=supp_ref),
         batch_format="pandas",
         batch_size=8192,
-        concurrency=pool,
     )
     return header.union(items)
 

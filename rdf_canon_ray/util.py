@@ -1,30 +1,30 @@
-"""Cluster-adaptive sizing helpers.
+"""Cluster-adaptive sizing helpers and the one idiom for stateful stages.
 
-Fixed pool sizes silently cap scaling: an actor pool of (1, 8) runs
-identically on 8 and 32 CPUs.  Stages size themselves off the actual
-cluster so the same code scales from a laptop to N nodes.
+Stages size themselves off the actual cluster so the same code scales
+from a laptop to N nodes.  A stage that carries state (a broadcast
+dimension table, precomputed coefficients) is a class run as a
+stateless task through ``stage_fn``: the instance is built once per
+worker process and reused by every later task there, so tasks scale to
+every free core at once and no actor pool has to ramp up or reserve
+workers.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import types
+
+import ray
+
 
 def cluster_cpus(default: int = 8) -> int:
     try:
-        import ray
-
         if ray.is_initialized():
             return int(ray.cluster_resources().get("CPU", default))
     except Exception:
         pass
     return default
-
-
-def default_pool(cap: int | None = None) -> tuple:
-    """Autoscaling actor-pool bounds (min 1, max ≈ cluster CPUs)."""
-    n = cluster_cpus()
-    if cap is not None:
-        n = min(n, cap)
-    return (1, max(2, n))
 
 
 def plan_partitions(n_units: int) -> int:
@@ -40,3 +40,59 @@ def default_buckets(mult: int = 4, floor: int = 32, ceil: int = 1024) -> int:
     cores keeps every core busy through the tail; the ceiling bounds
     per-bucket scheduling overhead."""
     return max(floor, min(ceil, mult * cluster_cpus()))
+
+
+# Package modules ship to workers BY VALUE (``runtime.ensure_importable``),
+# so a module-level dict here would be unpickled afresh with every task and
+# never hit.  The instances live in a registry module in ``sys.modules``
+# instead, which every task of a worker process shares.
+_REGISTRY = "_rdf_canon_ray_stage_instances"
+
+
+def _registry() -> types.ModuleType:
+    reg = sys.modules.get(_REGISTRY)
+    if reg is None:
+        new = types.ModuleType(_REGISTRY)
+        new.by_class, new.lock = {}, threading.RLock()
+        reg = sys.modules.setdefault(_REGISTRY, new)
+    return reg
+
+
+def stage_instance(cls, **kw):
+    """``cls(**kw)``, built once per process and key.
+
+    At most one instance per stage class stays alive: a new key replaces
+    (and releases) the old one, so the broadcast tables of earlier
+    queries do not pile up in long-lived workers.  The class is named by
+    ``__module__``/``__qualname__`` (classes ship by value, so identity
+    differs per task, and two nested classes may share ``__name__``); the
+    key is the kwargs, with ObjectRefs by ``.hex()`` so the entry never
+    pins a broadcast object, and other values compared by ``==``."""
+    reg = _registry()
+    name = (cls.__module__, cls.__qualname__)
+    key = tuple(
+        sorted(
+            (k, v.hex() if isinstance(v, ray.ObjectRef) else v)
+            for k, v in kw.items()
+        )
+    )
+    with reg.lock:
+        hit = reg.by_class.get(name)
+        if hit is None or hit[0] != key:
+            reg.by_class.pop(name, None)  # release the old one before building
+            hit = reg.by_class[name] = (key, cls(**kw))
+    return hit[1]
+
+
+def stage_fn(cls, **kw):
+    """Batch function for ``map_batches``: runs the per-process
+    ``stage_instance(cls, **kw)`` on each batch (a stateless task, where
+    ``cls`` itself would start an actor pool).  ObjectRefs in ``kw`` are
+    fetched by ``cls.__init__`` on the worker."""
+
+    def run(batch):
+        return stage_instance(cls, **kw)(batch)
+
+    # Ray names the operator after the function: keep the stage's name
+    run.__name__ = run.__qualname__ = cls.__name__
+    return run

@@ -228,6 +228,30 @@ def test_comention_incremental_equals_full_rebuild(ray_session):
     assert parts and all(int(p.split("=")[1]) % 4 != 0 for p in parts)
 
 
+def test_comention_store_builds_under_its_cache_root(ray_session, tmp_path):
+    """The store AND the transcript layout it reads land under the
+    caller's ``cache_root`` (the layout used to go to the default root
+    whatever the caller passed), with the same parts as the default
+    root's store."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    root = str(tmp_path)
+    store = graph.comention_store(SF, num_buckets=16, delta_mod=4, cache_root=root)
+    assert store.startswith(root)
+    assert os.path.isdir(os.path.join(root, "sf0.001", "transcripts_by_conv_16"))
+    default = graph.comention_store(SF, num_buckets=16, delta_mod=4)
+    parts = sorted(d for d in os.listdir(store) if d.startswith("part="))
+    assert parts == sorted(d for d in os.listdir(default) if d.startswith("part="))
+    for d in parts:
+        a, b = (
+            pq.read_table(os.path.join(s, d, "data.parquet")).to_pandas()
+            for s in (store, default)
+        )
+        assert sorted(map(tuple, a.to_numpy())) == sorted(map(tuple, b.to_numpy()))
+
+
 def test_partition_pairs_batch_fn_on_empty_batch():
     """A zero-row descriptor batch gives an empty typed pair frame (it
     used to index the empty result list and raise IndexError)."""
