@@ -14,6 +14,7 @@ Patterns on display (SURVEY.md §2.4):
 
 from __future__ import annotations
 
+import glob
 import os
 from typing import Sequence
 
@@ -2851,7 +2852,7 @@ def events_hourly_incremental(sf_dir: str, chunks: int = 4) -> rd.Dataset:
         return t.groupby(keys, sort=False).sum().reset_index()
 
     root = tempfile.mkdtemp(prefix="rcr_hourly_inc_", dir="/tmp")
-    state: str | None = None
+    state = None  # the part files of the last merged state
     try:
         for i in range(chunks):
             arrival = ev.map_batches(
@@ -2865,26 +2866,21 @@ def events_hourly_incremental(sf_dir: str, chunks: int = 4) -> rd.Dataset:
             if state is None:
                 merged = grouped_agg(partials, keys, aggs, num_buckets=16)
             else:
-                # pandas identity map: a parquet-read block must not
-                # union with pandas blocks directly (fused-exchange
-                # BlockType assertion)
-                prev = rd.read_parquet(state).map_batches(
-                    lambda b: b, batch_format="pandas"
-                )
                 merged = grouped_agg(
-                    prev.union(partials), keys, aggs, num_buckets=16
+                    store.read(state).union(partials), keys, aggs, num_buckets=16
                 )
             nxt = os.path.join(root, f"state_{i}")
             merged.write_parquet(nxt)
-            state = nxt
+            state = sorted(glob.glob(os.path.join(nxt, "*.parquet")))
         out = (
-            rd.read_parquet(state)
+            store.read(state)
             .map_batches(
                 lambda b: b.assign(
                     n_events=b["n_events"].astype(np.int64),
                     sum_value=b["sum_value"].round(6),
                 ),
                 batch_format="pandas",
+                batch_size=None,
             )
             .materialize()
         )

@@ -6,6 +6,7 @@ One function per operator, each ``(sf_dir) -> Dataset`` for the driver's
 
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
@@ -121,11 +122,7 @@ def dedup_incremental(
     from ..util import default_buckets
 
     sig_path = _minhash_sig_cache(sf_dir, split_id)
-    # normalize to pandas blocks: the union peer (fresh shard sigs) is
-    # pandas, and Ray's fused exchange prepare asserts one block type
-    old_sigs = rd.read_parquet(sig_path).map_batches(
-        lambda b: b, batch_format="pandas", batch_size=4096
-    )
+    old_sigs = store.read(sorted(glob.glob(os.path.join(sig_path, "*.parquet"))))
     new_sigs = (
         _docs(sf_dir)
         .map_batches(

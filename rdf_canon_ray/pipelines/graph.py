@@ -49,7 +49,7 @@ from ..stages.joins import hash_join
 from ..stages.shuffle import bucketed_map_groups, distinct, grouped_agg
 from ..state import store
 from ..transcripts.extract import EntityLinker, extract_mentions_arrow
-from ..util import default_buckets, stage_instance
+from ..util import default_buckets, plan_partitions, stage_instance
 from .kg import _link_batches, transcripts_parquet
 
 DAMPING = 0.85
@@ -146,6 +146,8 @@ def _load_resident_graph(store_dir: str, fingerprint: dict, threshold: int):
         # threshold): no data to load — rebuild under this threshold
         return None
     ndf = pd.read_parquet(os.path.join(store_dir, "nodes.parquet"))
+    # Arrow blocks, materialized once: every PageRank/BFS round maps them
+    # with batch_format="pyarrow", so pandas blocks would convert per round
     enc = rd.read_parquet(os.path.join(store_dir, "adjacency")).materialize()
     return (
         enc,
@@ -451,36 +453,26 @@ def comention_incremental(
     from .kg import (
         _link_maps_ref,
         _partition_paths,
+        _store_dataset,
         transcripts_parquet_partitioned,
     )
 
-    store = comention_store(sf_dir, num_buckets, delta_mod)
+    store_dir = comention_store(sf_dir, num_buckets, delta_mod)
     root = transcripts_parquet_partitioned(sf_dir, num_buckets)
-    delta = {
-        b: p
-        for b, p in _partition_paths(root).items()
+    delta = [
+        p for b, p in sorted(_partition_paths(root).items())
         if b % delta_mod == 0
-    }
+    ]
     delta_ds = rd.from_items(
-        [{"path": p} for _, p in sorted(delta.items())],
-        override_num_blocks=max(1, len(delta)),
+        [{"path": p} for p in delta],
+        override_num_blocks=plan_partitions(len(delta)),
     ).map_batches(
         _partition_pairs_batches(_link_maps_ref(sf_dir)),
         batch_format="pandas",
-        batch_size=1,
-    )
-
-    def ident(batch: pd.DataFrame) -> pd.DataFrame:
-        # pandas identity on the parquet side: a parquet-read dataset
-        # unioned with a pandas map_batches dataset crashes the fused
-        # exchange prepare downstream — normalize first
-        return batch
-
-    base_ds = rd.read_parquet(store).map_batches(
-        ident, batch_format="pandas", batch_size=32768
+        batch_size=None,
     )
     pairs = distinct(
-        base_ds.union(delta_ds), ["c1", "c2"], default_buckets()
+        _store_dataset(store_dir).union(delta_ds), ["c1", "c2"], default_buckets()
     )
 
     def decode(batch: pd.DataFrame) -> pd.DataFrame:

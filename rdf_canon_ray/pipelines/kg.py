@@ -480,11 +480,7 @@ def canonical_graphs_partitioned(
     is the 100 TB-scale layout: partition count scales with the corpus,
     tasks scale with the cluster."""
     root = transcripts_parquet_partitioned(sf_dir, num_buckets, factor=factor)
-    parts = sorted(
-        os.path.join(root, d, "data.parquet")
-        for d in os.listdir(root)
-        if d.startswith("part=")
-    )
+    parts = [p for _, p in sorted(_partition_paths(root).items())]
     return _part_files_dataset(sf_dir, parts, hash_name, hndq_call_limit)
 
 
@@ -497,6 +493,14 @@ def _partition_paths(root: str) -> dict:
                 root, d, "data.parquet"
             )
     return out
+
+
+def _store_dataset(store_dir: str, columns=None) -> rd.Dataset:
+    """A ``bucket_store``'s part files, in bucket order, as planned
+    pandas blocks (``store.read``)."""
+    return store.read(
+        [p for _, p in sorted(_partition_paths(store_dir).items())], columns
+    )
 
 
 def bucket_store(out_dir: str, base: dict, make_part_table) -> str:
@@ -596,22 +600,16 @@ def canonical_incremental(
     view over the FULL corpus — equal to a from-scratch rebuild, so it
     shares ``kg_canonical_sizes``'s derivable SQL oracle; byte-level
     equality of the merged canonical documents is pinned in pytest."""
-    store = canonical_store(sf_dir, num_buckets, delta_mod, hash_name)
+    store_dir = canonical_store(sf_dir, num_buckets, delta_mod, hash_name)
     delta_ds = _canonical_delta(sf_dir, num_buckets, delta_mod, hash_name)
     cols = ["graph_id", "n_quads", "n_bnodes", "status"]
 
     def project(batch: pd.DataFrame) -> pd.DataFrame:
         return batch[cols]
 
-    # pandas identity on the parquet side: a parquet-read (Arrow-block)
-    # dataset unioned with a pandas map_batches dataset crashes the
-    # fused exchange prepare downstream — normalize first.
     # batch_size=None on the delta side keeps the planned delta blocks:
     # a row batch size would fuse every delta block into one task.
-    base_ds = rd.read_parquet(store).map_batches(
-        project, batch_format="pandas", batch_size=8192
-    )
-    return base_ds.union(
+    return _store_dataset(store_dir, cols).union(
         delta_ds.map_batches(project, batch_format="pandas", batch_size=None)
     )
 
@@ -623,12 +621,9 @@ def canonical_incremental_full(
 ) -> rd.Dataset:
     """Full-row merged store ∪ delta (canon_nquads, label_map, …) for
     the byte-equality pytest against the from-scratch rebuild."""
-    store = canonical_store(sf_dir, num_buckets, delta_mod)
+    store_dir = canonical_store(sf_dir, num_buckets, delta_mod)
     delta_ds = _canonical_delta(sf_dir, num_buckets, delta_mod, "sha256")
-    ident = lambda b: b
-    return rd.read_parquet(store).map_batches(
-        ident, batch_format="pandas", batch_size=8192
-    ).union(delta_ds)
+    return _store_dataset(store_dir).union(delta_ds)
 
 
 def entity_mention_counts(sf_dir: str) -> rd.Dataset:

@@ -119,21 +119,11 @@ def zone_read(path: str, lo: int, hi: int) -> rd.Dataset:
     files, total = zone_select(path, lo, hi)
     metrics.incr("zonemap_files_total", total)
     metrics.incr("zonemap_files_read", len(files))
-    if not files:
-        # schema-stable empty result: same columns/dtypes as a
-        # non-empty read, so downstream column access never branches
-        # (rd.from_pandas drops the schema of a 0-row frame in this
-        # Ray build — filter a real file down to 0 rows instead)
-        all_parts = sorted(
-            n for n in os.listdir(path) if n.endswith(".parquet")
-        )
-        if all_parts:
-            return rd.read_parquet(
-                os.path.join(path, all_parts[0])
-            ).map_batches(
-                lambda b: b.iloc[0:0], batch_format="pandas"
-            )
-        return rd.from_pandas(pd.DataFrame())
+    # no zone overlaps: the residual filter empties one file instead, so
+    # the result keeps the layout's columns and dtypes
+    files = files or sorted(
+        os.path.join(path, n) for n in os.listdir(path) if n.endswith(".parquet")
+    )[:1]
 
     def residual(batch: pd.DataFrame) -> pd.DataFrame:
         k = batch[key]
@@ -143,6 +133,6 @@ def zone_read(path: str, lo: int, hi: int) -> rd.Dataset:
             kv = k.astype(np.int64)
         return batch[(kv >= lo) & (kv < hi)]
 
-    return rd.read_parquet(files).map_batches(
-        residual, batch_format="pandas", batch_size=32768
+    return store.read(files).map_batches(
+        residual, batch_format="pandas", batch_size=None
     )

@@ -509,11 +509,8 @@ def ivf_cosine_topk_persisted(
             f"IVF index {index_dir} has no partitions for probed lists "
             f"{probed} — index built from an empty dataset?"
         )
-    assigned = rd.read_parquet(files).map_batches(
-        lambda b: b, batch_format="pandas", batch_size=4096
-    )  # normalize to pandas blocks for the shared exchange path
     return _ivf_probe_and_scan(
-        assigned, centroids, queries, k, n_probes, id_col, vec_col
+        store.read(files), centroids, queries, k, n_probes, id_col, vec_col
     )
 
 

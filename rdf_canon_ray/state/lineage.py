@@ -65,7 +65,7 @@ def read_output(out_root: str) -> rd.Dataset:
         os.path.join(out_root, f"bucket={b}", "part.parquet")
         for b in sorted(_published_buckets(out_root))
     ]
-    return rd.read_parquet(parts)
+    return store.read(parts)
 
 
 def resumable_bucket_run(

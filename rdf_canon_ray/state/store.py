@@ -16,9 +16,11 @@ this module, so the rules below hold for all of them:
   remove ``.stale``.  POSIX cannot replace a directory atomically; a
   crash between the two renames leaves the last good copy at
   ``.stale``, and ``cached`` restores it before judging freshness.
-* The manifest name starts with ``_``: Arrow and Ray Data parquet reads
-  skip ``_``-prefixed files, so ``read_parquet(path)`` over a store
-  never sees it.
+* A store is read back with ``read(files, columns)`` over the part
+  files its caller lists (from its layout or its manifest), never by
+  reading the directory: no footer of a file it does not need is
+  opened.  The manifest name starts with ``_``, so Arrow's own
+  directory reads (``pq.read_table(path)``) skip it too.
 
 One driver owns a path at a time; concurrent builders of the same path
 are not coordinated (the last swap wins).
@@ -30,6 +32,13 @@ import json
 import os
 import shutil
 from typing import Callable, Optional
+
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray.data as rd
+
+from ..util import plan_partitions
 
 FORMAT = 1
 MANIFEST = "_store.json"
@@ -96,3 +105,23 @@ def stat_files(files: dict) -> list:
         st = os.stat(p)
         out.append([name, st.st_size, st.st_mtime_ns])
     return out
+
+
+def read(files, columns=None) -> rd.Dataset:
+    """The parquet ``files`` as a Dataset of pandas blocks: one map task
+    per planned block of contiguous files (``plan_partitions``), each
+    reading its files with ``pq.read_table(columns=columns)`` — no
+    partition column is added and no other footer is opened.  No files
+    give a consumable 0-row Dataset with no columns."""
+    if not files:
+        return rd.from_items([])
+
+    def read_files(batch: pd.DataFrame) -> pd.DataFrame:
+        return pa.concat_tables(
+            [pq.read_table(p, columns=columns) for p in batch["path"]]
+        ).to_pandas()
+
+    return rd.from_items(
+        [{"path": p} for p in files],
+        override_num_blocks=plan_partitions(len(files)),
+    ).map_batches(read_files, batch_format="pandas", batch_size=None)

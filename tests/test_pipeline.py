@@ -117,10 +117,8 @@ def test_partitioned_path_matches_shuffle_path(ray_session, tmp_path):
     assert (a["status"] == "ok").all()
 
 
-def _tasks_of(ds, fn_name: str) -> int:
-    """Tasks run by the (possibly fused) map operator of ``fn_name`` in
-    a consumed Dataset, read from Ray's stats summary."""
-    import re
+def _operators(ds) -> list:
+    """Ray's per-operator stats of ``ds``, after consuming it."""
 
     def flat(summary):
         for parent in summary.parents:
@@ -129,10 +127,20 @@ def _tasks_of(ds, fn_name: str) -> int:
 
     for _ in ds.iter_batches(batch_size=None):
         pass
+    return list(flat(ds._get_stats_summary()))
+
+
+def _tasks_of(ops: list, fn_name: str) -> int:
+    """Tasks run by the (possibly fused) map operator of ``fn_name``,
+    read from a consumed Dataset's ``_operators`` (a Union that names
+    it runs no tasks)."""
+    import re
+
     counts = [
-        int(re.search(r"(\d+) tasks executed", op.block_execution_summary_str).group(1))
-        for op in flat(ds._get_stats_summary())
+        int(m.group(1))
+        for op in ops
         if f"MapBatches({fn_name})" in op.operator_name
+        and (m := re.search(r"(\d+) tasks executed", op.block_execution_summary_str))
     ]
     assert len(counts) == 1, counts
     return counts[0]
@@ -141,27 +149,34 @@ def _tasks_of(ds, fn_name: str) -> int:
 def test_flagship_stages_run_planned_task_counts(ray_session):
     """Task counts follow ``util.plan_partitions``, not the upstream
     block count: the flagship bucket stage runs one task per planned
-    block of buckets, and the partitioned path and the incremental
-    delta stage one task per planned block of part files."""
+    block of buckets, and the partitioned path, the incremental delta
+    stages and the store reads one task per planned block of part
+    files."""
     import os
 
-    from rdf_canon_ray.pipelines import kg
+    from rdf_canon_ray.pipelines import graph, kg
     from rdf_canon_ray.util import cluster_cpus, default_buckets, plan_partitions
 
     cores = cluster_cpus()
-    assert _tasks_of(kg.canonical_graphs_dataset(SF), "run_block") == (
+    assert _tasks_of(_operators(kg.canonical_graphs_dataset(SF)), "run_block") == (
         plan_partitions(default_buckets())
     )
-    assert _tasks_of(kg.canonical_graphs_partitioned(SF, 16), "process") == min(
+    assert _tasks_of(_operators(kg.canonical_graphs_partitioned(SF, 16)), "process") == min(
         16, cores
     )
     root = kg.transcripts_parquet_partitioned(SF, 16)
     n_delta = sum(
         int(d.split("=")[1]) % 4 == 0 for d in os.listdir(root) if d.startswith("part=")
     )
-    assert _tasks_of(kg.canonical_incremental(SF, 16, delta_mod=4), "process") == min(
-        n_delta, cores
+    n_base = sum(
+        d.startswith("part=") for d in os.listdir(kg.canonical_store(SF, 16, delta_mod=4))
     )
+    ops = _operators(kg.canonical_incremental(SF, 16, delta_mod=4))
+    assert not [op.operator_name for op in ops if "ReadParquet" in op.operator_name]
+    assert _tasks_of(ops, "read_files") == plan_partitions(n_base)
+    assert _tasks_of(ops, "process") == min(n_delta, cores)
+    comention = _operators(graph.comention_incremental(SF, 16, delta_mod=4))
+    assert _tasks_of(comention, "process") == min(n_delta, cores)
 
 
 def test_incremental_merge_equals_full_rebuild(ray_session):
@@ -181,6 +196,9 @@ def test_incremental_merge_equals_full_rebuild(ray_session):
         .sort_values("graph_id")
         .reset_index(drop=True)
     )
+    # the store side adds no column (a hive ``part`` column, say) that
+    # the delta side and the rebuild lack
+    assert list(merged.columns) == list(full.columns)
     assert merged["graph_id"].tolist() == full["graph_id"].tolist()
     assert merged["canon_nquads"].equals(full["canon_nquads"])
     assert merged["n_quads"].tolist() == full["n_quads"].tolist()

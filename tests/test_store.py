@@ -1,5 +1,5 @@
 """Contract of the persisted-directory primitive (``state/store.py``),
-one case per rule.  Ray-free."""
+one case per rule.  Only the ``store.read`` cases start Ray."""
 
 import json
 import os
@@ -122,3 +122,55 @@ def test_plain_publish_writes_no_manifest(tmp_path):
     path = str(tmp_path / "sink")
     store.publish(path, lambda tmp: open(os.path.join(tmp, "data.csv"), "w").close())
     assert os.listdir(path) == ["data.csv"]
+
+
+def _parts(tmp_path, n=5):
+    """``n`` part files of 3 rows each, in a hive-style layout."""
+    files = []
+    for b in range(n):
+        d = tmp_path / f"part={b}"
+        d.mkdir()
+        files.append(str(d / "data.parquet"))
+        pq.write_table(
+            pa.table({"k": [b] * 3, "v": [f"{b}.{i}" for i in range(3)], "w": [0.5] * 3}),
+            files[-1],
+        )
+    return files
+
+
+def test_read_runs_one_task_per_planned_block(ray_session, tmp_path):
+    import re
+
+    from rdf_canon_ray.util import cluster_cpus, plan_partitions
+
+    files = _parts(tmp_path, cluster_cpus() + 1)  # files share blocks
+    stats = store.read(files).materialize().stats()
+    tasks = re.search(r"MapBatches\(read_files\): (\d+) tasks executed", stats).group(1)
+    assert int(tasks) == plan_partitions(len(files)) < len(files)
+
+
+@pytest.mark.parametrize("columns", [None, ["v", "k"]])
+def test_read_equals_file_order_concat(ray_session, tmp_path, columns):
+    """Rows and columns equal the concatenated files in file order, and
+    ``columns`` prunes; no hive partition column is added."""
+    import ray.data as rd
+
+    files = _parts(tmp_path)[::-1]
+    exp = pa.concat_tables([pq.read_table(f, columns=columns) for f in files]).to_pandas()
+    ctx = rd.DataContext.get_current()
+    keep, ctx.execution_options.preserve_order = ctx.execution_options.preserve_order, True
+    try:
+        got = store.read(files, columns).to_pandas()
+    finally:
+        ctx.execution_options.preserve_order = keep
+    assert list(got.columns) == (columns or ["k", "v", "w"])
+    assert got.equals(exp)
+
+
+def test_read_of_no_files_is_empty(ray_session):
+    """No files: a 0-row Dataset with no columns that every consumer
+    takes."""
+    ds = store.read([])
+    assert ds.count() == 0
+    assert ds.to_pandas().shape == (0, 0)
+    assert list(ds.iter_batches(batch_size=None)) == []

@@ -23,6 +23,51 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
+def check(con, name: str, fn, sf: str, sql) -> bool:
+    """Run one query and compare it with its oracle ``sql`` (rows-only
+    when None); True when it passes."""
+    t0 = time.time()
+    got = fn(sf)
+    if hasattr(got, "to_pandas"):
+        got = got.to_pandas()
+    t_ray = time.time() - t0
+    if sql is None:
+        print(f"{name}: rows={len(got)} (rows-only, {t_ray:.1f}s)")
+        return True
+    exp = con.execute(sql).df()
+    g, x = normalize(got), normalize(exp)
+    ok_rows = len(g) == len(x)
+    ok_cols = list(g.columns) == list(x.columns)
+    # a value hash of the result is dtype-sensitive (int64 3 != float64
+    # 3.0) — a silent cast here is how docs_by_source slipped through
+    # in round 1, so dtype inequality is a failure, not a fix-up
+    dtype_pair = (
+        [str(d) for d in g.dtypes],
+        [str(d) for d in x.dtypes],
+    )
+    ok_dtypes = ok_cols and dtype_pair[0] == dtype_pair[1]
+    ok_vals = False
+    if ok_rows and ok_cols:
+        try:
+            numcols = [c for c in g.columns if pd.api.types.is_numeric_dtype(g[c])]
+            for c in numcols:
+                x[c] = x[c].astype(g[c].dtype)
+            ok_vals = g.equals(x) or (g.round(9).equals(x.round(9)))
+        except Exception as ex:
+            print("  compare error:", ex)
+    ok = ok_rows and ok_cols and ok_dtypes and ok_vals
+    if ok_vals and not ok_dtypes:
+        print(f"  dtype mismatch (engine vs oracle): {dtype_pair}")
+    print(
+        f"{name}: {'OK' if ok else 'MISMATCH'} rows {len(g)}/{len(x)} cols {list(g.columns)} vs {list(x.columns)} ({t_ray:.1f}s)"
+    )
+    if not ok and ok_rows and ok_cols:
+        diff = g.compare(x) if g.shape == x.shape else None
+        if diff is not None and len(diff):
+            print(diff.head(5))
+    return ok
+
+
 def main():
     sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -42,49 +87,13 @@ def main():
     for name, fn in qs.items():
         if only and name not in only:
             continue
-        t0 = time.time()
-        got = fn(sf)
-        if hasattr(got, "to_pandas"):
-            got = got.to_pandas()
-        elif hasattr(got, "to_pydict"):
-            got = got.to_pandas()
-        t_ray = time.time() - t0
-        if name not in osql:
-            print(f"{name}: rows={len(got)} (rows-only, {t_ray:.1f}s)")
-            continue
-        exp = con.execute(osql[name]).df()
-        g, x = normalize(got), normalize(exp)
-        ok_rows = len(g) == len(x)
-        ok_cols = list(g.columns) == list(x.columns)
-        # the driver's value hash is dtype-sensitive (int64 3 != float64
-        # 3.0) — a silent cast here is how docs_by_source slipped through
-        # in round 1, so dtype inequality is a failure, not a fix-up
-        dtype_pair = (
-            [str(d) for d in g.dtypes],
-            [str(d) for d in x.dtypes],
-        )
-        ok_dtypes = ok_cols and dtype_pair[0] == dtype_pair[1]
-        ok_vals = False
-        if ok_rows and ok_cols:
-            try:
-                numcols = [c for c in g.columns if pd.api.types.is_numeric_dtype(g[c])]
-                for c in numcols:
-                    x[c] = x[c].astype(g[c].dtype)
-                ok_vals = g.equals(x) or (g.round(9).equals(x.round(9)))
-            except Exception as ex:
-                print("  compare error:", ex)
-        status = "OK" if (ok_rows and ok_cols and ok_dtypes and ok_vals) else "MISMATCH"
-        if ok_vals and not ok_dtypes:
-            print(f"  dtype mismatch (engine vs oracle): {dtype_pair}")
-        if status != "OK":
+        # one query's crash (a missing input file, say) is that query's
+        # failure, not the end of the run
+        try:
+            failures += not check(con, name, fn, sf, osql.get(name))
+        except Exception as ex:
             failures += 1
-        print(
-            f"{name}: {status} rows {len(g)}/{len(x)} cols {list(g.columns)} vs {list(x.columns)} ({t_ray:.1f}s)"
-        )
-        if status != "OK" and ok_rows and ok_cols:
-            diff = g.compare(x) if g.shape == x.shape else None
-            if diff is not None and len(diff):
-                print(diff.head(5))
+            print(f"{name}: ERROR {type(ex).__name__}: {ex}")
     print("FAILURES:", failures)
     return failures
 
