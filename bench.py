@@ -20,7 +20,11 @@ def run_bench() -> dict:
     import ray
 
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    # the host's own cores by default: never more workers than the CPUs
+    # this process may run on
+    num_cpus = int(
+        os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))
+    )
     if not ray.is_initialized():
         ray.init(
             address="local",

@@ -68,10 +68,6 @@ _LIT_ESCAPE[0x5C] = "\\\\"
 _LIT_ESCAPE[0x7F] = "\\u007F"
 
 
-def escape_literal(lex: str) -> str:
-    return lex.translate(_LIT_ESCAPE)
-
-
 def term_to_string(kind: int, value: str, dt: str = "", lang: str = "") -> str:
     """Serialize one term in canonical N-Quads form."""
     if kind == IRI:

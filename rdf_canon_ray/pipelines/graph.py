@@ -49,7 +49,7 @@ from ..stages.joins import hash_join
 from ..stages.shuffle import bucketed_map_groups, distinct, grouped_agg
 from ..state import store
 from ..transcripts.extract import EntityLinker, extract_mentions_arrow
-from ..util import default_buckets, plan_partitions, stage_instance
+from ..util import default_buckets, stage_instance
 from .kg import _link_batches, transcripts_parquet
 
 DAMPING = 0.85
@@ -410,25 +410,18 @@ def comention_store(
     """Persisted co-mention pair table over the BASE conversations
     (conv buckets with ``b % delta_mod != 0``), mirroring
     ``kg.canonical_store``: each base bucket's distinct (c1, c2) code
-    pairs land in ``part=b/data.parquet``, written once with a
-    corpus-content fingerprint.  At 100 TB this is the standing edge
+    pairs land in the store's bucket ``b`` part file, written once with
+    a corpus-content fingerprint.  At 100 TB this is the standing edge
     table next to the conversation log — a graph refresh touches only
     the delta buckets (VERDICT r04 #6)."""
-    from .kg import (
-        _link_maps_ref,
-        _partition_paths,
-        bucket_store,
-        transcripts_parquet_partitioned,
-    )
+    from .kg import _link_maps_ref, transcripts_parquet_partitioned
 
     tag = os.path.basename(os.path.normpath(sf_dir))
     out_dir = os.path.join(
         cache_root, tag, f"comention_store_{num_buckets}_d{delta_mod}"
     )
     root = transcripts_parquet_partitioned(sf_dir, num_buckets, cache_root)
-    base = {
-        b: p for b, p in _partition_paths(root).items() if b % delta_mod != 0
-    }
+    base, _ = store.split_parts(root, delta_mod)
 
     def make_part_table():
         maps_ref = _link_maps_ref(sf_dir)
@@ -436,7 +429,7 @@ def comention_store(
             _partition_pairs(path, maps_ref), preserve_index=False
         )
 
-    return bucket_store(out_dir, base, make_part_table)
+    return store.bucket_store(out_dir, base, make_part_table)
 
 
 def comention_incremental(
@@ -450,29 +443,17 @@ def comention_incremental(
     full ``comention_edges`` rebuild (same SQL oracle; byte-equality in
     pytest) at a refresh cost of O(delta) extraction instead of
     O(corpus)."""
-    from .kg import (
-        _link_maps_ref,
-        _partition_paths,
-        _store_dataset,
-        transcripts_parquet_partitioned,
-    )
+    from .kg import _link_maps_ref, transcripts_parquet_partitioned
 
     store_dir = comention_store(sf_dir, num_buckets, delta_mod)
-    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
-    delta = [
-        p for b, p in sorted(_partition_paths(root).items())
-        if b % delta_mod == 0
-    ]
-    delta_ds = rd.from_items(
-        [{"path": p} for p in delta],
-        override_num_blocks=plan_partitions(len(delta)),
-    ).map_batches(
-        _partition_pairs_batches(_link_maps_ref(sf_dir)),
-        batch_format="pandas",
-        batch_size=None,
+    _, delta = store.split_parts(
+        transcripts_parquet_partitioned(sf_dir, num_buckets), delta_mod
     )
+    delta_ds = store.map_files(delta, _partition_pairs_batches(_link_maps_ref(sf_dir)))
     pairs = distinct(
-        _store_dataset(store_dir).union(delta_ds), ["c1", "c2"], default_buckets()
+        store.read(store.parts(store_dir)).union(delta_ds),
+        ["c1", "c2"],
+        default_buckets(),
     )
 
     def decode(batch: pd.DataFrame) -> pd.DataFrame:

@@ -10,9 +10,14 @@ Ray-Data-first lifecycle (SURVEY.md §3.4):
     → write_parquet sinks (partitioned, resumable)
 
 The partitioned and incremental paths run the same extraction and
-bucket kernel map-only, once per block of conv-bucket files (one block
-per core, ``util.plan_partitions``); the store build runs it once per
-file, since each file is one store partition.
+bucket kernel map-only over the conv-bucket transcript layout.  The
+layout itself belongs to ``state/store.py``: ``store.write_buckets``
+writes it (hashed by the exchange's own prepare, like
+``shuffle.add_bucket``), ``store.parts`` / ``store.split_parts`` list
+it back as base and refresh delta, and ``store.map_files`` runs the
+kernel once per planned block of part files (one block per core).  The
+store build (``store.bucket_store``) runs it once per file, since each
+file is one store partition.
 
 Cross-partition entity canonicalization: entity IRIs are already
 corpus-canonical (linking resolves surfaces to keys), so the cross-graph
@@ -47,7 +52,7 @@ from ..transcripts.gen import (
     source_fingerprint,
     transcripts_parquet,
 )
-from ..util import default_buckets, plan_partitions, stage_instance
+from ..util import default_buckets, stage_instance
 
 # Driver-side serial floor: the dimension-table reads behind
 # build_link_maps and the ray.put of the result are identical across
@@ -376,41 +381,26 @@ def transcripts_parquet_partitioned(
     """Transcript cache partitioned by conversation hash bucket — the
     production storage layout for conversation logs (one shuffle paid at
     ingest, then every downstream run is conv-co-located and map-only).
-    One parquet file per bucket directory.  ``factor`` ingests the
-    deterministic replicated corpus (scaling protocol)."""
-    import pandas as pd
-
-    from ..stages.shuffle import add_bucket, map_buckets
-
+    One parquet file per bucket (``store.write_buckets``).  ``factor``
+    ingests the deterministic replicated corpus (scaling protocol)."""
     tag = os.path.basename(os.path.normpath(sf_dir))
     if factor > 1:
         tag += f"x{factor}"
     out_dir = os.path.join(cache_root, tag, f"transcripts_by_conv_{num_buckets}")
 
     def build(tmp: str) -> None:
-        def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
-            b = int(group["_bucket"].iloc[0])
-            pdir = os.path.join(tmp, f"part={b}")
-            os.makedirs(pdir, exist_ok=True)
-            group.drop(columns=["_bucket"]).to_parquet(
-                os.path.join(pdir, "data.parquet"), index=False
-            )
-            return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
-
         source = (
             rd.read_parquet(scaled_transcripts_parquet(sf_dir, factor, cache_root))
             if factor > 1
             else build_transcripts(sf_dir)
         )
-        map_buckets(
-            source.map_batches(
-                lambda b: add_bucket(b, ["conv_id"], num_buckets),
-                batch_format="pandas",
-                batch_size=32768,
-            ),
+        store.write_buckets(
+            source,
+            tmp,
+            ["conv_id"],
             num_buckets,
-            write_bucket,
-        ).count()
+            lambda rows, file: rows.to_parquet(file, index=False),
+        )
 
     return store.cached(
         out_dir,
@@ -450,22 +440,6 @@ def _canonicalize_part_files(
     return process
 
 
-def _part_files_dataset(
-    sf_dir: str, paths, hash_name: str, hndq_call_limit: Optional[int]
-) -> rd.Dataset:
-    """Canonical graphs of conv-bucket part files: one map task per
-    planned block of contiguous files (``plan_partitions``), blocks in
-    ``paths`` order."""
-    process = _canonicalize_part_files(
-        _link_maps_ref(sf_dir), hash_name, hndq_call_limit
-    )
-    ds = rd.from_items(
-        [{"path": p} for p in paths],
-        override_num_blocks=plan_partitions(len(paths)),
-    )
-    return ds.map_batches(process, batch_format="pandas", batch_size=None)
-
-
 def canonical_graphs_partitioned(
     sf_dir: str,
     num_buckets: int = 128,
@@ -480,60 +454,10 @@ def canonical_graphs_partitioned(
     is the 100 TB-scale layout: partition count scales with the corpus,
     tasks scale with the cluster."""
     root = transcripts_parquet_partitioned(sf_dir, num_buckets, factor=factor)
-    parts = [p for _, p in sorted(_partition_paths(root).items())]
-    return _part_files_dataset(sf_dir, parts, hash_name, hndq_call_limit)
-
-
-def _partition_paths(root: str) -> dict:
-    """bucket id → part file path for a conv-partitioned layout."""
-    out = {}
-    for d in os.listdir(root):
-        if d.startswith("part="):
-            out[int(d.split("=", 1)[1])] = os.path.join(
-                root, d, "data.parquet"
-            )
-    return out
-
-
-def _store_dataset(store_dir: str, columns=None) -> rd.Dataset:
-    """A ``bucket_store``'s part files, in bucket order, as planned
-    pandas blocks (``store.read``)."""
-    return store.read(
-        [p for _, p in sorted(_partition_paths(store_dir).items())], columns
+    process = _canonicalize_part_files(
+        _link_maps_ref(sf_dir), hash_name, hndq_call_limit
     )
-
-
-def bucket_store(out_dir: str, base: dict, make_part_table) -> str:
-    """Persisted per-bucket store over the ``base`` part files (bucket
-    id → path of a conv-partitioned layout).  Only when the store is
-    (re)built, ``make_part_table()`` runs on the driver and returns the
-    per-file function: ``path`` → one bucket's rows as an Arrow table,
-    written to ``part=b/data.parquet``.  Map-only, one task per planned
-    block of files (``plan_partitions``); fingerprinted
-    on the base files themselves, so a layout rewritten in place
-    invalidates the store instead of feeding a stale base into an
-    incremental merge."""
-    import pyarrow.parquet as pq
-
-    def build(tmp: str) -> None:
-        part_table = make_part_table()
-
-        def write_block(batch: pd.DataFrame) -> pd.DataFrame:
-            rows = []
-            for path, b in zip(batch["path"], batch["bucket"]):
-                table = part_table(path)
-                pdir = os.path.join(tmp, f"part={int(b)}")
-                os.makedirs(pdir, exist_ok=True)
-                pq.write_table(table, os.path.join(pdir, "data.parquet"))
-                rows.append(table.num_rows)
-            return pd.DataFrame({"bucket": batch["bucket"], "rows": rows})
-
-        rd.from_items(
-            [{"path": p, "bucket": b} for b, p in sorted(base.items())],
-            override_num_blocks=plan_partitions(len(base)),
-        ).map_batches(write_block, batch_format="pandas", batch_size=None).count()
-
-    return store.cached(out_dir, store.stat_files(base), build)
+    return store.map_files(store.parts(root), process)
 
 
 def canonical_store(
@@ -545,11 +469,11 @@ def canonical_store(
 ) -> str:
     """Persisted canonical-graph store over the BASE conversations
     (conv buckets with ``b % delta_mod != 0``): each base bucket's
-    canonical rows land in ``part=b/data.parquet`` mirroring the
-    transcript layout, written once and reused by every incremental
-    refresh.  At 100 TB this is the standing canonical corpus next to
-    the conversation log; the delta buckets play 'newly arrived
-    conversations'."""
+    canonical rows land in the store's bucket ``b`` part file
+    (``store.bucket_store``), mirroring the transcript layout, written
+    once and reused by every incremental refresh.  At 100 TB this is
+    the standing canonical corpus next to the conversation log; the
+    delta buckets play 'newly arrived conversations'."""
     tag = os.path.basename(os.path.normpath(sf_dir))
     # hash_name is part of the cache key: a sha256 store must never be
     # served to a sha384 incremental merge
@@ -557,28 +481,25 @@ def canonical_store(
         cache_root, tag, f"canon_store_{num_buckets}_d{delta_mod}_{hash_name}"
     )
     root = transcripts_parquet_partitioned(sf_dir, num_buckets, cache_root)
-    base = {
-        b: p for b, p in _partition_paths(root).items() if b % delta_mod != 0
-    }
+    base, _ = store.split_parts(root, delta_mod)
 
     def make_part_table():
         process = _canonicalize_part_files(_link_maps_ref(sf_dir), hash_name, None)
         return lambda path: process(pd.DataFrame({"path": [path]}))
 
-    return bucket_store(out_dir, base, make_part_table)
+    return store.bucket_store(out_dir, base, make_part_table)
 
 
 def _canonical_delta(
     sf_dir: str, num_buckets: int, delta_mod: int, hash_name: str
 ) -> rd.Dataset:
     """Canonical graphs of the DELTA buckets (``b % delta_mod == 0``),
-    map-only, in bucket order (``plan_partitions(len(delta))`` tasks)."""
-    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
-    delta = [
-        p for b, p in sorted(_partition_paths(root).items())
-        if b % delta_mod == 0
-    ]
-    return _part_files_dataset(sf_dir, delta, hash_name, None)
+    map-only, in bucket order (``store.map_files``)."""
+    _, delta = store.split_parts(
+        transcripts_parquet_partitioned(sf_dir, num_buckets), delta_mod
+    )
+    process = _canonicalize_part_files(_link_maps_ref(sf_dir), hash_name, None)
+    return store.map_files(delta, process)
 
 
 def canonical_incremental(
@@ -609,7 +530,7 @@ def canonical_incremental(
 
     # batch_size=None on the delta side keeps the planned delta blocks:
     # a row batch size would fuse every delta block into one task.
-    return _store_dataset(store_dir, cols).union(
+    return store.read(store.parts(store_dir), cols).union(
         delta_ds.map_batches(project, batch_format="pandas", batch_size=None)
     )
 
@@ -623,7 +544,7 @@ def canonical_incremental_full(
     the byte-equality pytest against the from-scratch rebuild."""
     store_dir = canonical_store(sf_dir, num_buckets, delta_mod)
     delta_ds = _canonical_delta(sf_dir, num_buckets, delta_mod, "sha256")
-    return _store_dataset(store_dir).union(delta_ds)
+    return store.read(store.parts(store_dir)).union(delta_ds)
 
 
 def entity_mention_counts(sf_dir: str) -> rd.Dataset:

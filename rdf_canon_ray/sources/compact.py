@@ -12,8 +12,8 @@ directory's files into ~``target_bytes`` outputs:
 * input order is preserved (files are planned in sorted name order,
   row groups in file order), so order-dependent layouts (e.g. the
   sorted zone-map export) stay sorted;
-* the output directory is published through ``state.store``; a
-  non-empty ``dst`` is refused, like the other sinks.
+* the output directory is published through ``store.sink``, which
+  refuses a non-empty ``dst``, like the other sinks.
 
 This is one of the few places raw ``ray.remote`` tasks are the right
 tool: the unit of work is "exactly these N files → one output file",
@@ -80,11 +80,6 @@ def compact_dir(
     sidecars (manifests, indexes) are NOT copied — compaction changes
     file boundaries, so per-file metadata must be rebuilt by the layout
     that owns it."""
-    if os.path.isdir(dst) and os.listdir(dst):
-        raise FileExistsError(
-            f"compact_dir: {dst} already exists and is non-empty — "
-            "remove it (or write elsewhere) first"
-        )
     groups = plan_groups(src, target_bytes)
     width = len(str(max(len(groups) - 1, 0)))
     rows = 0
@@ -99,7 +94,7 @@ def compact_dir(
         ]
         rows = sum(ray.get(futs))
 
-    store.publish(dst, build)
+    store.sink(dst, build)
     return {
         "files_in": sum(len(g) for g in groups),
         "files_out": len(groups),

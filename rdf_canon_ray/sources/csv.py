@@ -1,9 +1,10 @@
 """CSV source/sink — the lowest-common-denominator interchange format.
 
-Same partitioned-sink doctrine as ``sources.jsonl``: hash-partitioned
-layout (``part=N/data.csv``), published through ``state.store``, partition
-contents a pure function of the key so reruns and consumers address
-partitions deterministically regardless of input block order.
+Same partitioned-sink doctrine as ``sources.jsonl``: the bucketed layout
+of ``state.store`` (one ``data.csv`` per hash bucket), published through
+``store.sink``, partition contents a pure function of the key so reruns
+and consumers address partitions deterministically regardless of input
+block order.
 
 Reader: ``ray.data.read_csv`` over the partition directory — streaming
 and splittable; pass ``schema_overrides`` (pyarrow types) when CSV's
@@ -12,12 +13,8 @@ type inference must not guess (e.g. zero-padded id strings).
 
 from __future__ import annotations
 
-import os
-
-import pandas as pd
 import ray.data as rd
 
-from ..stages.shuffle import add_bucket, map_buckets
 from ..state import store
 
 
@@ -28,36 +25,18 @@ def write_csv_partitioned(
     num_buckets: int = 64,
 ) -> str:
     """Write ``ds`` as hash-partitioned CSV under ``out_dir``, published
-    through ``state.store`` (a non-empty ``out_dir`` is refused).  Rows
-    land in ``part=hash(key) % num_buckets`` and are key-sorted inside
-    each part, so the layout is independent of input block order."""
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        raise FileExistsError(
-            f"write_csv_partitioned: {out_dir} already exists and is "
-            "non-empty — remove it (or write elsewhere) first"
-        )
+    through ``store.sink`` (a non-empty ``out_dir`` is refused).  Rows
+    land in bucket ``hash(key) % num_buckets`` (``store.write_buckets``)
+    and are key-sorted inside each part, so the layout is independent of
+    input block order."""
 
-    def build(tmp: str) -> None:
-        def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
-            b = int(group["_bucket"].iloc[0])
-            pdir = os.path.join(tmp, f"part={b}")
-            os.makedirs(pdir, exist_ok=True)
-            group.drop(columns=["_bucket"]).sort_values(
-                key_cols, kind="mergesort"
-            ).to_csv(os.path.join(pdir, "data.csv"), index=False)
-            return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
+    def write(rows, file: str) -> None:
+        rows.sort_values(key_cols, kind="mergesort").to_csv(file, index=False)
 
-        map_buckets(
-            ds.map_batches(
-                lambda b: add_bucket(b, key_cols, num_buckets),
-                batch_format="pandas",
-                batch_size=32768,
-            ),
-            num_buckets,
-            write_bucket,
-        ).count()
-
-    return store.publish(out_dir, build)
+    return store.sink(
+        out_dir,
+        lambda tmp: store.write_buckets(ds, tmp, key_cols, num_buckets, write, "csv"),
+    )
 
 
 def read_csv(path: str, schema_overrides=None) -> rd.Dataset:

@@ -103,33 +103,6 @@ def read_nquads(paths: str | List[str], lenient: bool = False) -> rd.Dataset:
     )
 
 
-def quads_to_tuples(batch: pd.DataFrame) -> list:
-    return [
-        (
-            int(sk),
-            s,
-            p,
-            int(ok),
-            o,
-            dt or "",
-            lang or "",
-            int(gk),
-            g,
-        )
-        for sk, s, p, ok, o, dt, lang, gk, g in zip(
-            batch["s_kind"],
-            batch["s"],
-            batch["p"],
-            batch["o_kind"],
-            batch["o"],
-            batch["o_dt"],
-            batch["o_lang"],
-            batch["g_kind"],
-            batch["g"],
-        )
-    ]
-
-
 def _part_name(first: str, last: str) -> str:
     """Collision-safe part filename: lowercase-hex of the first key's
     UTF-8 bytes (byte order == hex order) truncated to a filesystem-safe

@@ -21,6 +21,26 @@ this module, so the rules below hold for all of them:
   reading the directory: no footer of a file it does not need is
   opened.  The manifest name starts with ``_``, so Arrow's own
   directory reads (``pq.read_table(path)``) skip it too.
+* A sink (``sink``) refuses a non-empty target: it must never leave
+  old data in place of what it claims to have written.  Cache callers
+  wrap a sink in ``cached``.
+
+The bucketed layout — one ``part=<b>/data.<ext>`` file per non-empty
+hash bucket ``b`` — is spelled here and nowhere else:
+
+* ``write_buckets`` hashes rows on their key with the exchange's own
+  prepare (``shuffle.with_buckets``, the hash of ``shuffle.add_bucket``),
+  so at the same bucket count, bucket ``b`` of a layout holds exactly
+  the keys the exchange sends to bucket ``b``; each bucket's rows go to
+  one file.
+* ``parts`` lists a layout back as bucket → part file, in bucket order;
+  ``split_parts`` cuts it into the base and the refresh delta (buckets
+  with ``b % delta_mod == 0``).  Keyed partitions are the unit of
+  refresh: a store mirrors its base's buckets, so merging a refreshed
+  delta is a union.
+* ``map_files`` runs a function over listed part files in planned
+  blocks, one map task per block of contiguous files
+  (``plan_partitions``); ``read`` and ``bucket_store`` are built on it.
 
 One driver owns a path at a time; concurrent builders of the same path
 are not coordinated (the last swap wins).
@@ -38,6 +58,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from ..stages.shuffle import map_buckets, with_buckets
 from ..util import plan_partitions
 
 FORMAT = 1
@@ -107,12 +128,84 @@ def stat_files(files: dict) -> list:
     return out
 
 
+def sink(path: str, build: Callable[[str], Optional[dict]]) -> str:
+    """``publish`` for a sink: a non-empty ``path`` is refused (and
+    left untouched) before anything is built."""
+    if os.path.isdir(path) and os.listdir(path):
+        raise FileExistsError(
+            f"{path} already exists and is non-empty — remove it (or "
+            "write elsewhere) first"
+        )
+    return publish(path, build)
+
+
+def _part_file(root: str, bucket: int, ext: str = "parquet") -> str:
+    return os.path.join(root, f"part={bucket}", f"data.{ext}")
+
+
+def write_buckets(
+    ds: rd.Dataset,
+    root: str,
+    keys,
+    num_buckets: int,
+    write_file: Callable[[pd.DataFrame, str], None],
+    ext: str = "parquet",
+) -> None:
+    """Write ``ds`` as a bucketed layout under ``root``: rows hashed on
+    ``keys`` into ``num_buckets`` buckets, and ``write_file(rows, file)``
+    called once per non-empty bucket with its rows (no ``_bucket``
+    column) and ``part=<b>/data.<ext>``."""
+
+    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+        b = int(group["_bucket"].iloc[0])
+        file = _part_file(root, b, ext)
+        os.makedirs(os.path.dirname(file), exist_ok=True)
+        write_file(group.drop(columns=["_bucket"]), file)
+        return pd.DataFrame({"bucket": [b], "rows": [len(group)]})
+
+    map_buckets(with_buckets(ds, keys, num_buckets), num_buckets, write_bucket).count()
+
+
+def parts(root: str) -> dict:
+    """bucket → parquet part file of the bucketed layout at ``root``, in
+    bucket order."""
+    buckets = sorted(
+        int(d.split("=", 1)[1]) for d in os.listdir(root) if d.startswith("part=")
+    )
+    return {b: _part_file(root, b) for b in buckets}
+
+
+def split_parts(root: str, delta_mod: int) -> tuple:
+    """``(base, delta)`` of the layout at ``root``, each bucket → part
+    file in bucket order: bucket ``b`` is in the refresh delta when
+    ``b % delta_mod == 0``, in the base otherwise."""
+    base, delta = {}, {}
+    for b, p in parts(root).items():
+        (delta if b % delta_mod == 0 else base)[b] = p
+    return base, delta
+
+
+def map_files(files, fn: Callable[[pd.DataFrame], object]) -> rd.Dataset:
+    """``fn`` over the ``files`` (a list of paths, or bucket → path) in
+    planned blocks: one map task per block of contiguous files
+    (``plan_partitions``), blocks in ``files`` order.  ``fn`` gets the
+    block as one pandas batch with a ``path`` column, plus ``bucket``
+    when ``files`` is a dict."""
+    if isinstance(files, dict):
+        rows = [{"bucket": b, "path": p} for b, p in files.items()]
+    else:
+        rows = [{"path": p} for p in files]
+    return rd.from_items(
+        rows, override_num_blocks=plan_partitions(len(rows))
+    ).map_batches(fn, batch_format="pandas", batch_size=None)
+
+
 def read(files, columns=None) -> rd.Dataset:
-    """The parquet ``files`` as a Dataset of pandas blocks: one map task
-    per planned block of contiguous files (``plan_partitions``), each
-    reading its files with ``pq.read_table(columns=columns)`` — no
-    partition column is added and no other footer is opened.  No files
-    give a consumable 0-row Dataset with no columns."""
+    """The parquet ``files`` (as ``map_files`` takes them) as a Dataset
+    of pandas blocks, each planned block's files read with
+    ``pq.read_table(columns=columns)`` — no partition column is added
+    and no other footer is opened.  No files give a consumable 0-row
+    Dataset with no columns."""
     if not files:
         return rd.from_items([])
 
@@ -121,7 +214,32 @@ def read(files, columns=None) -> rd.Dataset:
             [pq.read_table(p, columns=columns) for p in batch["path"]]
         ).to_pandas()
 
-    return rd.from_items(
-        [{"path": p} for p in files],
-        override_num_blocks=plan_partitions(len(files)),
-    ).map_batches(read_files, batch_format="pandas", batch_size=None)
+    return map_files(files, read_files)
+
+
+def bucket_store(path: str, base: dict, make_part_table) -> str:
+    """Persisted per-bucket store at ``path`` over the ``base`` part
+    files (bucket → file of a bucketed layout), mirroring its buckets.
+    Only when the store is (re)built, ``make_part_table()`` runs on the
+    driver and returns the per-file function: part file → that bucket's
+    rows as an Arrow table, written to the store's own part file.
+    Fingerprinted on the base files themselves, so a layout rewritten in
+    place invalidates the store instead of feeding a stale base into an
+    incremental merge."""
+
+    def build(tmp: str) -> None:
+        part_table = make_part_table()
+
+        def write_block(batch: pd.DataFrame) -> pd.DataFrame:
+            rows = []
+            for p, b in zip(batch["path"], batch["bucket"]):
+                table = part_table(p)
+                file = _part_file(tmp, int(b))
+                os.makedirs(os.path.dirname(file), exist_ok=True)
+                pq.write_table(table, file)
+                rows.append(table.num_rows)
+            return pd.DataFrame({"bucket": batch["bucket"], "rows": rows})
+
+        map_files(base, write_block).count()
+
+    return cached(path, stat_files(base), build)

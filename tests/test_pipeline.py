@@ -117,6 +117,30 @@ def test_partitioned_path_matches_shuffle_path(ray_session, tmp_path):
     assert (a["status"] == "ok").all()
 
 
+def test_conv_layout_buckets_hash_like_add_bucket(ray_session, tmp_path):
+    """Every conversation of the conv-bucket layout sits in the part
+    that ``shuffle.add_bucket`` names for it: the layout hashes exactly
+    like the exchange, and callers (a refresh delta computed from
+    conversation ids, say) may rely on that."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from rdf_canon_ray.pipelines import kg
+    from rdf_canon_ray.stages.shuffle import add_bucket
+
+    root = kg.transcripts_parquet_partitioned(SF, 16, cache_root=str(tmp_path))
+    parts = [d for d in os.listdir(root) if d.startswith("part=")]
+    assert len(parts) > 1
+    n_convs = 0
+    for d in parts:
+        ids = pq.read_table(os.path.join(root, d, "data.parquet"), columns=["conv_id"])
+        ids = ids.to_pandas().drop_duplicates()
+        assert (add_bucket(ids, ["conv_id"], 16)["_bucket"] == int(d.split("=")[1])).all()
+        n_convs += len(ids)
+    assert n_convs == kg.build_transcripts(SF).to_pandas()["conv_id"].nunique()
+
+
 def _operators(ds) -> list:
     """Ray's per-operator stats of ``ds``, after consuming it."""
 

@@ -174,3 +174,31 @@ def test_read_of_no_files_is_empty(ray_session):
     assert ds.count() == 0
     assert ds.to_pandas().shape == (0, 0)
     assert list(ds.iter_batches(batch_size=None)) == []
+
+
+def test_parts_lists_buckets_in_bucket_order(tmp_path):
+    files = _parts(tmp_path, 12)  # part=10 lists after part=9, not part=1
+    os.makedirs(tmp_path / "_other")
+    assert list(store.parts(str(tmp_path)).values()) == files
+    base, delta = store.split_parts(str(tmp_path), 4)
+    assert list(delta) == [0, 4, 8]
+    assert list(base) == [b for b in range(12) if b % 4]
+    assert base[10] == files[10]
+
+
+def test_only_the_store_spells_the_bucketed_layout():
+    """The bucketed layout (its part names, its planned file map) lives
+    in ``state/store.py`` alone; every other module goes through it."""
+    import pathlib
+
+    owner = pathlib.Path(store.__file__).resolve()
+    pkg = owner.parents[1]
+    banned = ("part=", "override_num_blocks=plan_partitions")
+    hits = [
+        f"{p.relative_to(pkg)}: {word}"
+        for p in sorted(pkg.rglob("*.py"))
+        if p != owner
+        for word in banned
+        if word in p.read_text()
+    ]
+    assert hits == []
