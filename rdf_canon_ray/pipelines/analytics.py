@@ -267,14 +267,9 @@ def local_supplier_volume(
         "lineitem",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
-    # date-surviving orderkeys as int64 (the join's side-union widens
-    # the key to float64; the Bloom hash is dtype-sensitive)
     right = ord_cust.map_batches(
         lambda b: pd.DataFrame(
-            {
-                "l_orderkey": b["o_orderkey"].to_numpy(np.int64),
-                "c_nationkey": b["c_nationkey"].to_numpy(np.int64),
-            }
+            {"l_orderkey": b["o_orderkey"], "c_nationkey": b["c_nationkey"]}
         ),
         batch_format="pandas",
     ).materialize()  # feeds the Bloom build AND the join
@@ -1366,12 +1361,10 @@ def customers_no_urgent_orders(sf_dir: str) -> rd.Dataset:
         batch_size=65536,
     )
     out = partitioned_anti_join(cust, okeys, on="c_custkey", num_buckets=16)
-    # the anti-join's internal side-union NaN-pads non-key ints to float
+    # the table stores c_nationkey as int32; the query's schema (and its
+    # oracle) has BIGINT
     return out.map_batches(
-        lambda b: b.assign(
-            c_custkey=b["c_custkey"].astype(np.int64),
-            c_nationkey=b["c_nationkey"].astype(np.int64),
-        ),
+        lambda b: b.assign(c_nationkey=b["c_nationkey"].astype(np.int64)),
         batch_format="pandas",
     )
 
@@ -1908,8 +1901,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 3) -> rd.Dataset:
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
             {
-                # the join's side-union widens ints to float64 — cast back
-                "doc_id": batch["doc_id"].to_numpy(np.int64),
+                "doc_id": batch["doc_id"].to_numpy(),
                 "term": batch["term"].to_numpy(dtype=object),
                 "score": batch["tf"].to_numpy(np.float64)
                 * np.log(float(n_docs) / batch["df"].to_numpy(np.float64)),
@@ -3562,9 +3554,6 @@ def shipping_priority(
             .reset_index()
         )
         g["revenue"] = np.round(g["revenue"].to_numpy(np.float64), 4)
-        # the join's internal side-union NaN-pads non-key ints to
-        # float64 — restore the key dtype before the driver compare
-        g["l_orderkey"] = g["l_orderkey"].to_numpy(np.int64)
         return g[["l_orderkey", "revenue", "o_orderdate"]].sort_values(
             ["revenue", "o_orderdate", "l_orderkey"],
             ascending=[False, True, True],

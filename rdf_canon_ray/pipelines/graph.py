@@ -46,7 +46,7 @@ import ray
 import ray.data as rd
 
 from ..stages.joins import hash_join
-from ..stages.shuffle import bucketed_map_groups, distinct, grouped_agg
+from ..stages.shuffle import bucketed_map_groups, cogroup, distinct, grouped_agg
 from ..state import store
 from ..transcripts.extract import EntityLinker, extract_mentions_arrow
 from ..util import default_buckets, stage_instance
@@ -1126,17 +1126,14 @@ def _triangles_partitioned(edges: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
     j = hash_join(j, d2, on="c2", num_buckets=default_buckets())
 
     def orient(batch: pd.DataFrame) -> pd.DataFrame:
-        # the join side-union widens int columns — cast back
-        e1 = batch["c1"].to_numpy(np.int64)
-        e2 = batch["c2"].to_numpy(np.int64)
-        a1 = batch["d1"].to_numpy(np.int64)
-        a2 = batch["d2"].to_numpy(np.int64)
+        e1, e2 = batch["c1"].to_numpy(), batch["c2"].to_numpy()
+        a1, a2 = batch["d1"].to_numpy(), batch["d2"].to_numpy()
         swap = (a2 < a1) | ((a2 == a1) & (e2 < e1))
         return pd.DataFrame(
             {
-                "u": np.where(swap, e2, e1).astype(np.int64),
-                "v": np.where(swap, e1, e2).astype(np.int64),
-                "dv": np.where(swap, a1, a2).astype(np.int64),
+                "u": np.where(swap, e2, e1),
+                "v": np.where(swap, e1, e2),
+                "dv": np.where(swap, a1, a2),
             }
         )
 
@@ -1191,52 +1188,26 @@ def _triangles_partitioned(edges: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
     # Close in-bucket: wedges and oriented edge keys co-partition on the
     # closing edge (a, b); matches are triangles, and each bucket emits
     # CORNER PARTIAL COUNTS (node, t), not per-triangle rows.
-    wedge_cols = ["a", "b", "corner", "_side"]
-
-    def tag_wedge(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        out["_side"] = "w"
-        return out.reindex(columns=wedge_cols)
-
-    def tag_edge(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"a": batch["u"], "b": batch["v"]})
-        out["_side"] = "e"
-        return out.reindex(columns=wedge_cols)
-
-    tagged = wedges.map_batches(tag_wedge, batch_format="pandas").union(
-        oriented.map_batches(tag_edge, batch_format="pandas")
-    )
-
-    def close_count(bucket: pd.DataFrame) -> pd.DataFrame:
-        w = bucket.loc[bucket["_side"] == "w", ["a", "b", "corner"]]
-        e = bucket.loc[bucket["_side"] == "e", ["a", "b"]]
+    def close_count(w: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         m = w.merge(e, on=["a", "b"])  # edge keys distinct → semi join
-        if len(m) == 0:
-            return pd.DataFrame(
-                {
-                    "node": pd.Series([], dtype=np.int64),
-                    "t": pd.Series([], dtype=np.int64),
-                }
-            )
-        # the tag union NaN-pads ints to float64 — values are exact
+        if len(m) == 0:  # (a side with no rows at all has its keys only)
+            m = pd.DataFrame(columns=["corner", "a", "b"])
         vc = pd.Series(
-            np.concatenate(
-                [
-                    m["corner"].to_numpy(np.int64),
-                    m["a"].to_numpy(np.int64),
-                    m["b"].to_numpy(np.int64),
-                ]
-            )
+            np.concatenate([m["corner"], m["a"], m["b"]]), dtype=np.int64
         ).value_counts()
         return pd.DataFrame(
-            {
-                "node": vc.index.to_numpy(np.int64),
-                "t": vc.to_numpy().astype(np.int64),
-            }
+            {"node": vc.index.to_numpy(np.int64), "t": vc.to_numpy(np.int64)}
         )
 
-    partials = bucketed_map_groups(
-        tagged, ["a", "b"], close_count, default_buckets()
+    partials = cogroup(
+        wedges,
+        oriented.map_batches(
+            lambda b: pd.DataFrame({"a": b["u"], "b": b["v"]}),
+            batch_format="pandas",
+        ),
+        ["a", "b"],
+        close_count,
+        default_buckets(),
     )
     counts = grouped_agg(
         partials, ["node"], {"t": "sum"}, default_buckets()
@@ -1248,8 +1219,8 @@ def _triangles_partitioned(edges: rd.Dataset, deg: rd.Dataset) -> rd.Dataset:
         t = batch["t"].to_numpy().astype(np.float64)
         return pd.DataFrame(
             {
-                "entity_iri": _decode_codes(batch["node"].to_numpy(np.int64)),
-                "n_triangles": batch["t"].astype(np.int64),
+                "entity_iri": _decode_codes(batch["node"].to_numpy()),
+                "n_triangles": batch["t"].to_numpy(),
                 "clustering": np.round(2.0 * t / (d * (d - 1.0)), 6),
             }
         )

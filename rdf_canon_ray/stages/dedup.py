@@ -48,7 +48,7 @@ import ray.data as rd
 
 from ..state import metrics
 from ..util import stage_fn, stage_instance
-from .shuffle import bucketed_map_groups, grouped_agg
+from .shuffle import bucketed_map_groups, cogroup, grouped_agg
 
 _MERSENNE = (1 << 61) - 1
 
@@ -366,7 +366,7 @@ class JaccardVerifier:
         self.threshold = threshold
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        # ids ride through the join's schema union as float64; restore
+        # ids leave as int64, whatever the corpus id dtype
         out = pd.DataFrame(
             {
                 "id_a": batch["id_a"].to_numpy().astype(np.int64),
@@ -430,9 +430,8 @@ def minhash_lsh_pairs(
     the path; the text table is shuffled once per text-bearing exchange
     (the inherent cost of exact verification at corpus scale).
 
-    ``texts`` defaults to ``ds`` itself (must expose id_col/text_col).
-    Assumes non-negative integer doc ids (negative values are reserved
-    as side markers inside the fused exchanges).
+    ``texts`` defaults to ``ds`` itself (must expose id_col/text_col);
+    doc ids are integers.
 
     Incremental mode: pass ``sigs`` (a precomputed/persisted signature
     table — id_col + ``sig`` list column — e.g. the already-deduped
@@ -479,84 +478,49 @@ def minhash_lsh_pairs(
     m_min = _min_band_matches(threshold, n_bands, n_perm // n_bands)
 
     # Exchange 2 (key = id_a): band-match sum + m_min filter + text_a
-    # attach happen in ONE bucketed exchange — pair partials and the
-    # text table are co-bucketed on the same key, so no separate
-    # grouped_agg shuffle and no extra hash-join exchange.
-    def text_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "k": batch[id_col].to_numpy(),
-                "id_b": np.zeros(len(batch), np.int64),
-                "m": np.full(len(batch), -1, np.int64),  # marks text rows
-                "text_a": batch[text_col].to_numpy(dtype=object),
-            }
+    # attach happen in ONE exchange — pair partials and the text table
+    # meet on the same key, so no separate grouped_agg shuffle and no
+    # extra hash-join exchange.
+    def texts_as(key: str, col: str) -> rd.Dataset:
+        # 8192-row batches: fusion bundles rows up to the largest
+        # batch_size in a chain (see the NOTE above)
+        return texts.map_batches(
+            lambda b: pd.DataFrame({key: b[id_col], col: b[text_col]}),
+            batch_format="pandas",
+            batch_size=8192,
         )
 
-    def pair_rows_a(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "k": batch["id_a"].to_numpy(),
-                "id_b": batch["id_b"].to_numpy(),
-                "m": batch["m"].to_numpy(),
-                "text_a": np.full(len(batch), "", dtype=object),
-            }
-        )
+    def lookup(t: pd.DataFrame, key: str, col: str) -> pd.Series:
+        return pd.Series(t[col].to_numpy(), index=t[key].to_numpy())
 
-    mixed_a = partial.map_batches(
-        pair_rows_a, batch_format="pandas", batch_size=32768
-    ).union(texts.map_batches(text_rows, batch_format="pandas", batch_size=8192))
-
-    def sum_filter_attach(bucket: pd.DataFrame) -> pd.DataFrame:
-        is_text = bucket["m"].to_numpy() < 0
-        t = bucket.loc[is_text]
-        p = bucket.loc[~is_text]
-        if len(p) == 0:
+    def sum_filter_attach(p: pd.DataFrame, t: pd.DataFrame) -> pd.DataFrame:
+        if len(p) == 0:  # (a side with no rows at all has its keys only)
             return pd.DataFrame(
                 {
-                    "k": pd.Series([], dtype="int64"),
                     "id_a": pd.Series([], dtype="int64"),
+                    "id_b": pd.Series([], dtype="int64"),
                     "text_a": pd.Series([], dtype=object),
                 }
             )
-        g = (
-            p.groupby(["k", "id_b"], sort=False)["m"].sum().reset_index()
-        )
-        g = g[g["m"] >= m_min]
-        lookup = pd.Series(t["text_a"].to_numpy(), index=t["k"].to_numpy())
-        return pd.DataFrame(
-            {
-                "k": g["id_b"].to_numpy(),  # next exchange keys on id_b
-                "id_a": g["k"].to_numpy(),
-                "text_a": g["k"].map(lookup).to_numpy(dtype=object),
-            }
-        )
+        g = p.groupby(["id_a", "id_b"], sort=False)["m"].sum().reset_index()
+        g = g[g["m"] >= m_min].drop(columns=["m"])
+        return g.assign(text_a=g["id_a"].map(lookup(t, "id_a", "text_a")))
 
-    with_a = bucketed_map_groups(
-        mixed_a, ["k"], sum_filter_attach, num_buckets=num_buckets,
+    with_a = cogroup(
+        partial,
+        texts_as("id_a", "text_a"),
+        ["id_a"],
+        sum_filter_attach,
+        num_buckets,
         batch_size=8192,
     )
 
     # Exchange 3 (key = id_b): attach text_b and verify inside the bucket
-    def text_rows_b(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "k": batch[id_col].to_numpy(),
-                "id_a": np.full(len(batch), -1, np.int64),  # marks text rows
-                "text_a": batch[text_col].to_numpy(dtype=object),
-            }
-        )
-
-    mixed_b = with_a.union(
-        texts.map_batches(text_rows_b, batch_format="pandas", batch_size=8192)
-    )
     verifier_kw = dict(
         shingle_k=shingle_k, shingle_mode=shingle_mode, threshold=threshold
     )
 
-    def attach_verify(bucket: pd.DataFrame) -> pd.DataFrame:
-        is_text = bucket["id_a"].to_numpy() < 0
-        t = bucket.loc[is_text]
-        p = bucket.loc[~is_text]
+    def attach_verify(p: pd.DataFrame, t: pd.DataFrame) -> pd.DataFrame:
         if len(p) == 0:
             return pd.DataFrame(
                 {
@@ -565,19 +529,15 @@ def minhash_lsh_pairs(
                     "jaccard": pd.Series([], dtype=float),
                 }
             )
-        lookup = pd.Series(t["text_a"].to_numpy(), index=t["k"].to_numpy())
-        joined = pd.DataFrame(
-            {
-                "id_a": p["id_a"].to_numpy(),
-                "id_b": p["k"].to_numpy(),
-                "text_a": p["text_a"].to_numpy(dtype=object),
-                "text_b": p["k"].map(lookup).to_numpy(dtype=object),
-            }
-        )
+        joined = p.assign(text_b=p["id_b"].map(lookup(t, "id_b", "text_b")))
         return stage_instance(JaccardVerifier, **verifier_kw)(joined)
 
-    return bucketed_map_groups(
-        mixed_b, ["k"], attach_verify, num_buckets=num_buckets,
+    return cogroup(
+        with_a,
+        texts_as("id_b", "text_b"),
+        ["id_b"],
+        attach_verify,
+        num_buckets,
         batch_size=8192,
     )
 

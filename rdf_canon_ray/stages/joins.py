@@ -3,8 +3,11 @@
 * ``broadcast_join``  — small side shipped once via ``ray.put``, pandas
   merge per batch. No shuffle. The right tool whenever one side fits the
   object store (dimension tables, vocabularies, blocklists).
-* ``hash_join``       — both sides large: bucket rows by key hash, tag
-  the side, exchange once, merge per bucket.  A hot key hashes to ONE
+* ``hash_join``       — both sides large: one two-sided exchange
+  (``shuffle.cogroup``), pandas merge per bucket; each side keeps its
+  own dtypes (only the side an outer merge NaN-fills has its ints
+  widened to float64).  ``partitioned_anti_join`` and ``range_join``
+  share the exchange.  A hot key hashes to ONE
   bucket no matter how many buckets exist; true skew handling is
   ``salt > 1`` (replicate the right side across salt sub-buckets and
   spread the left side's hot-key rows over them) or
@@ -28,7 +31,7 @@ import ray
 import ray.data as rd
 
 from ..state import metrics
-from .shuffle import bucketed_map_groups
+from .shuffle import bucketed_map_groups, cogroup
 
 
 def broadcast_join(
@@ -55,7 +58,7 @@ def hash_join(
     broadcast_threshold: int | None = None,
 ) -> rd.Dataset:
     """Partitioned hash join: rows from both sides meet in their key's
-    bucket; pandas merge runs per bucket.
+    bucket (``cogroup``); pandas merge runs per bucket.
 
     Skew handling:
     * ``salt > 1`` — the right side is replicated once per salt value
@@ -64,8 +67,9 @@ def hash_join(
       one straggler.  Replication duplicates unmatched right rows, so
       salting is restricted to ``inner``/``left`` joins.
     * ``broadcast_threshold`` — if the right side has at most this many
-      rows (one cheap count), skip the shuffle entirely and broadcast
-      it (``broadcast_join``).
+      rows, skip the shuffle entirely and broadcast it
+      (``broadcast_join``).  The right side is materialized once for
+      the count and whichever join follows.
     """
     on_cols: List[str] = [on] if isinstance(on, str) else list(on)
     if salt > 1 and how not in ("inner", "left"):
@@ -77,90 +81,47 @@ def hash_join(
         # broadcast_join merges per LEFT batch, so right/outer semantics
         # (emit unmatched right rows exactly once) cannot be preserved —
         # those fall through to the partitioned join below.
+        right = right.materialize()  # the gate and the join read it once
         if right.count() <= broadcast_threshold:
             return broadcast_join(ds=left, small_df=right.to_pandas(),
                                   on=on_cols, how=how)
-    left_schema, right_schema = left.schema(), right.schema()
-    left_cols = [c for c in left_schema.names]
-    right_cols = [c for c in right_schema.names]
-    overlap = (set(left_cols) & set(right_cols)) - set(on_cols)
-    if overlap:
-        raise ValueError(f"non-key column collision: {sorted(overlap)}")
-
-    # The bucket hash (pd.util.hash_pandas_object) is dtype-sensitive:
-    # int64(7) and float64(7.0) hash differently, and each side's blocks
-    # keep their own dtype through the union.  If the sides disagree on
-    # a key dtype (e.g. one side's key was null-widened to float64 by an
-    # upstream join), equal keys would land in different buckets and the
-    # match would silently drop — so promote keys to one dtype up front.
-    def _pandas_dtypes(schema) -> dict:
-        base = getattr(schema, "base_schema", schema)
-        if hasattr(base, "field"):  # pyarrow schema
-            return {
-                n: base.field(n).type.to_pandas_dtype() for n in base.names
-            }
-        # PandasBlockSchema: numpy dtypes ride in .types
-        return dict(zip(base.names, base.types))
-
-    ldt, rdt = _pandas_dtypes(left_schema), _pandas_dtypes(right_schema)
-    key_cast = {}
-    for k in on_cols:
-        lt, rt = np.dtype(ldt[k]), np.dtype(rdt[k])
-        if lt != rt and lt.kind in "iuf" and rt.kind in "iuf":
-            key_cast[k] = np.result_type(lt, rt)
-
-    def align_keys(batch: pd.DataFrame) -> pd.DataFrame:
-        for k, dt in key_cast.items():
-            batch[k] = batch[k].astype(dt)
-        return batch
-
-    combined = list(
-        dict.fromkeys(on_cols + left_cols + right_cols + ["_side", "_salt"])
-    )
-
-    def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = align_keys(batch.copy())
-        batch["_side"] = "l"
-        # positional spread is enough: the salt only routes rows, the
-        # merge result is salt-invariant
-        batch["_salt"] = (
-            np.arange(len(batch)) % salt if salt > 1 else 0
+    keys = on_cols
+    if salt > 1:
+        # the right side is replicated once per salt value; the left
+        # side's rows spread over the salts positionally (the salt only
+        # routes rows, the merge result is salt-invariant)
+        keys = on_cols + ["_salt"]
+        left = left.map_batches(
+            lambda b: b.assign(_salt=np.arange(len(b)) % salt),
+            batch_format="pandas",
         )
-        # union needs one schema: absent columns ride as nulls
-        # (integer columns widen to nullable through the exchange).
-        return batch.reindex(columns=combined)
+        right = right.map_batches(
+            lambda b: pd.concat(
+                [b.assign(_salt=s) for s in range(salt)], ignore_index=True
+            ),
+            batch_format="pandas",
+        )
 
-    def tag_right(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = align_keys(batch.copy())
-        batch["_side"] = "r"
-        if salt > 1:
-            batch = pd.concat(
-                [batch.assign(_salt=s) for s in range(salt)],
-                ignore_index=True,
-            )
-        else:
-            batch["_salt"] = 0
-        return batch.reindex(columns=combined)
+    def merge_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        overlap = (set(l.columns) & set(r.columns)) - set(keys)
+        if overlap:
+            raise ValueError(f"non-key column collision: {sorted(overlap)}")
+        # an unmatched row NaN-fills the other side's columns: widen the
+        # padded side's ints in every bucket, so all blocks share a schema
+        if how in ("right", "outer"):
+            l = _widen_ints(l, keys)
+        if how in ("left", "outer"):
+            r = _widen_ints(r, keys)
+        return l.merge(r, on=keys, how=how).drop(
+            columns=["_salt"], errors="ignore"
+        )
 
-    tagged = left.map_batches(tag_left, batch_format="pandas").union(
-        right.map_batches(tag_right, batch_format="pandas")
-    )
+    return cogroup(left, right, keys, merge_bucket, num_buckets)
 
-    def merge_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        l = bucket.loc[bucket["_side"] == "l", left_cols]
-        r = bucket.loc[bucket["_side"] == "r", right_cols + ["_salt"]]
-        if salt > 1:
-            # each (key, salt) pair owns exactly one right replica set
-            l = bucket.loc[bucket["_side"] == "l", left_cols + ["_salt"]]
-            merged = l.merge(r, on=on_cols + ["_salt"], how=how)
-            return merged[
-                [c for c in merged.columns if c != "_salt"]
-            ]
-        return l.merge(r.drop(columns=["_salt"]), on=on_cols, how=how)
 
-    return bucketed_map_groups(
-        tagged, on_cols + ["_salt"], merge_bucket, num_buckets
-    )
+def _widen_ints(df: pd.DataFrame, keys: Sequence[str]) -> pd.DataFrame:
+    ints = [c for c in df.columns if c not in keys and df[c].dtype.kind in "iu"]
+    return df.astype(dict.fromkeys(ints, np.float64))
 
 
 def asof_prev(
@@ -216,33 +177,22 @@ def partitioned_anti_join(
     right side ships only its key columns), and an ``isin`` filter runs
     per bucket — no driver-side key set, unlike ``anti_join_filter``."""
     on_cols: List[str] = [on] if isinstance(on, str) else list(on)
-    left_cols = list(left.schema().names)
-    combined = left_cols + ["_side"]
 
-    def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["_side"] = "l"
-        return batch.reindex(columns=combined)
-
-    def tag_right(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[on_cols].drop_duplicates().copy()
-        out["_side"] = "r"
-        return out.reindex(columns=combined)
-
-    tagged = left.map_batches(tag_left, batch_format="pandas").union(
-        right.map_batches(tag_right, batch_format="pandas")
-    )
-
-    def bucket_fn(bucket: pd.DataFrame) -> pd.DataFrame:
-        l = bucket.loc[bucket["_side"] == "l", left_cols]
-        r = bucket.loc[bucket["_side"] == "r", on_cols]
+    def bucket_fn(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         if len(on_cols) == 1:
-            keep = ~l[on_cols[0]].isin(r[on_cols[0]])
-            return l.loc[keep]
+            return l.loc[~l[on_cols[0]].isin(r[on_cols[0]])]
         m = l.merge(r, on=on_cols, how="left", indicator=True)
-        return m.loc[m["_merge"] == "left_only", left_cols]
+        return m.loc[m["_merge"] == "left_only", list(l.columns)]
 
-    return bucketed_map_groups(tagged, on_cols, bucket_fn, num_buckets)
+    return cogroup(
+        left,
+        right.map_batches(
+            lambda b: b[on_cols].drop_duplicates(), batch_format="pandas"
+        ),
+        on_cols,
+        bucket_fn,
+        num_buckets,
+    )
 
 
 def broadcast_asof_floor(
@@ -309,14 +259,9 @@ def range_join(
     buckets, and the exact window predicate filters inside the bucket —
     no all-pairs comparison, bounded ×3 replication of one side, and the
     pattern generalizes to time-interval and as-of joins."""
-    left_cols = list(left.schema().names)
-    right_cols = list(right.schema().names)
-    overlap = set(left_cols) & set(right_cols)
-    if overlap:
-        raise ValueError(f"column collision: {sorted(overlap)}")
     w = float(radius)
 
-    def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
+    def cells_left(batch: pd.DataFrame) -> pd.DataFrame:
         v = batch[left_val].to_numpy(dtype=np.float64)
         lo = np.floor((v - w) / w).astype(np.int64)
         hi = np.floor((v + w) / w).astype(np.int64)
@@ -324,27 +269,17 @@ def range_join(
         for off in range(3):  # window width 2w spans at most 3 w-cells
             cell = lo + off
             keep = cell <= hi
-            sub = batch.loc[keep].copy()
-            sub["_cell"] = cell[keep]
-            sub["_side"] = "l"
-            frames.append(sub)
-        out = pd.concat(frames, ignore_index=True)
-        return out.reindex(columns=left_cols + right_cols + ["_cell", "_side"])
+            frames.append(batch.loc[keep].assign(_cell=cell[keep]))
+        return pd.concat(frames, ignore_index=True)
 
-    def tag_right(batch: pd.DataFrame) -> pd.DataFrame:
+    def cells_right(batch: pd.DataFrame) -> pd.DataFrame:
         v = batch[right_val].to_numpy(dtype=np.float64)
-        out = batch.copy()
-        out["_cell"] = np.floor(v / w).astype(np.int64)
-        out["_side"] = "r"
-        return out.reindex(columns=left_cols + right_cols + ["_cell", "_side"])
+        return batch.assign(_cell=np.floor(v / w).astype(np.int64))
 
-    tagged = left.map_batches(tag_left, batch_format="pandas").union(
-        right.map_batches(tag_right, batch_format="pandas")
-    )
-
-    def merge_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        l = bucket.loc[bucket["_side"] == "l", left_cols + ["_cell"]]
-        r = bucket.loc[bucket["_side"] == "r", right_cols + ["_cell"]]
+    def merge_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        overlap = (set(l.columns) & set(r.columns)) - {"_cell"}
+        if overlap:
+            raise ValueError(f"column collision: {sorted(overlap)}")
         m = l.merge(r, on="_cell").drop(columns=["_cell"])
         if len(m) == 0:
             return m
@@ -352,7 +287,13 @@ def range_join(
         rv = m[right_val].to_numpy(dtype=np.float64)
         return m.loc[(rv >= v - w) & (rv < v + w)]
 
-    return bucketed_map_groups(tagged, ["_cell"], merge_bucket, num_buckets)
+    return cogroup(
+        left.map_batches(cells_left, batch_format="pandas"),
+        right.map_batches(cells_right, batch_format="pandas"),
+        ["_cell"],
+        merge_bucket,
+        num_buckets,
+    )
 
 
 def _bloom_hashes(

@@ -14,6 +14,12 @@ wall-time.  The scalable idiom used throughout this engine is:
        combine (``map_buckets``), or a kernel that takes whole
        conversations runs once over the block (the flagship)
 
+Operators over TWO inputs (joins, anti-joins, attach-by-key) use
+``cogroup``: both sides go through the same three steps as Arrow IPC
+payloads, and the bucket function gets each side as its own DataFrame,
+so neither side is padded to the other's columns, widened, or run to
+learn its schema.
+
 ``num_buckets`` bounds shuffle fan-in and is the hash granularity: pick
 ~4× total cores (``util.default_buckets``).  The task count is the
 plan's, not the upstream block count Ray's sampled sort would follow.
@@ -166,6 +172,82 @@ def bucketed_map_groups(
         num_buckets,
         lambda group: bucket_fn(group.drop(columns=["_bucket"])),
     )
+
+
+def cogroup(
+    left: rd.Dataset,
+    right: rd.Dataset,
+    keys: Sequence[str],
+    fn: Callable[[pd.DataFrame, pd.DataFrame], pd.DataFrame],
+    num_buckets: int,
+    batch_size: int = 32768,
+) -> rd.Dataset:
+    """The two-sided exchange: rows of ``left`` and ``right`` that share
+    ``keys`` meet in one bucket, and ``fn(l, r)`` runs once per bucket,
+    in bucket order, on each side's rows as its own DataFrame, with that
+    side's columns at their own dtypes.
+
+    Each input batch rides the exchange as one ``(_bucket, _side,
+    _payload)`` row per bucket, the payload an Arrow IPC stream of the
+    batch's rows in that bucket.  Empty buckets get a payload too, so
+    ``fn`` sees the other side's columns (zero rows) where only one side
+    has rows; a side with no rows at all arrives as its key columns
+    only, typed like the other side's.  Both sides share one block
+    schema without padding, and neither input runs to learn its schema.
+    Keys hash by ``add_bucket``'s rule with numeric keys as float64, so
+    an int64 key meets an equal float64 key."""
+    keys = list(keys)
+
+    def tagger(side: int):
+        def tag(batch: pa.Table) -> pa.Table:
+            k = batch.select(keys).to_pandas()
+            for c in keys:
+                if k[c].dtype.kind in "iuf":
+                    k[c] = k[c].astype(np.float64)
+            b = add_bucket(k, keys, num_buckets)["_bucket"].to_numpy()
+            rows = batch.take(np.argsort(b, kind="stable"))
+            edges = np.r_[0, np.cumsum(np.bincount(b, minlength=num_buckets))]
+            payloads = []
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                sink = pa.BufferOutputStream()
+                with pa.ipc.new_stream(sink, rows.schema) as w:
+                    w.write_table(rows.slice(lo, hi - lo))
+                payloads.append(sink.getvalue().to_pybytes())
+            return pa.table(
+                {
+                    "_bucket": pa.array(np.arange(num_buckets, dtype=np.int32)),
+                    "_side": pa.array(np.full(num_buckets, side, np.int8)),
+                    "_payload": pa.array(payloads, pa.binary()),
+                }
+            )
+
+        return tag
+
+    def run(bucket: pd.DataFrame) -> pd.DataFrame:
+        side = bucket["_side"].to_numpy()
+        payloads = bucket["_payload"].to_numpy()
+        # (batches of one side may disagree on a column's type, e.g. an
+        # all-null column arrives as Arrow null)
+        l, r = (
+            pa.concat_tables(
+                [pa.ipc.open_stream(p).read_all() for p in payloads[side == s]],
+                promote_options="permissive",
+            ).to_pandas()
+            if (side == s).any()
+            else None
+            for s in (0, 1)
+        )
+        # a side with no rows anywhere carries no schema: it gets the
+        # other side's key columns, empty
+        return fn(r[keys].iloc[:0] if l is None else l,
+                  l[keys].iloc[:0] if r is None else r)
+
+    tagged = left.map_batches(
+        tagger(0), batch_format="pyarrow", batch_size=batch_size
+    ).union(
+        right.map_batches(tagger(1), batch_format="pyarrow", batch_size=batch_size)
+    )
+    return map_buckets(tagged, num_buckets, run)
 
 
 def single_bucket_merge(

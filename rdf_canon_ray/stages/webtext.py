@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .shuffle import DEFAULT_NUM_BUCKETS, bucketed_map_groups, grouped_agg
+from .shuffle import DEFAULT_NUM_BUCKETS, bucketed_map_groups, cogroup, grouped_agg
 
 # RE2 patterns, shared verbatim with the DuckDB oracles (both engines
 # are RE2, so match semantics are identical by construction).
@@ -183,34 +183,6 @@ def line_frequencies(
     return grouped_agg(exploded, ["line"], {"n": "sum"}, num_buckets)
 
 
-def frequent_lines(
-    ds: rd.Dataset,
-    freq_threshold: int,
-    text_col: str = "text",
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
-    broadcast_threshold: int | None = None,
-) -> Set[str]:
-    """The boilerplate set: lines occurring ≥ ``freq_threshold`` times
-    corpus-wide, collected to the driver for the broadcast filter.
-    Bounded above by total_lines / freq_threshold — which at 100 TB
-    with a small threshold is still huge, so the collect is GATED
-    (same stance as ``dedup_clean``'s drop-set): above
-    ``broadcast_threshold`` hot lines, callers must use the
-    partitioned rewrite (``remove_boilerplate`` switches
-    automatically)."""
-    freq = line_frequencies(ds, text_col, num_buckets)
-    hot = freq.filter(expr=f"n >= {int(freq_threshold)}").materialize()
-    if broadcast_threshold is not None:
-        n_hot = hot.count()
-        if n_hot > broadcast_threshold:
-            raise ValueError(
-                f"frequent-line set has {n_hot} entries > broadcast "
-                f"gate {broadcast_threshold}; use the partitioned "
-                f"boilerplate rewrite instead of a driver-side set"
-            )
-    return set(hot.to_pandas()["line"])
-
-
 def _remove_boilerplate_partitioned(
     ds: rd.Dataset,
     hot: rd.Dataset,
@@ -226,12 +198,11 @@ def _remove_boilerplate_partitioned(
     each document from its kept lines in original order.  Verified
     equal to the broadcast path in
     ``tests/test_webtext.py::test_remove_boilerplate_partitioned_matches``."""
-    cols = [id_col, "_idx", "line", "_side"]
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         split = batch[text_col].str.split("\n")
         n = split.str.len().to_numpy(np.int64)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 id_col: np.repeat(batch[id_col].to_numpy(), n),
                 "_idx": (
@@ -243,34 +214,20 @@ def _remove_boilerplate_partitioned(
                 )
                 if len(batch)
                 else np.asarray([], dtype=object),
-                "_side": "l",
-            }
-        )
-        return out.reindex(columns=cols)
-
-    def tag_hot(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"line": batch["line"]})
-        out["_side"] = "h"
-        return out.reindex(columns=cols)
-
-    tagged = ds.map_batches(
-        explode, batch_format="pandas", batch_size=4096
-    ).union(hot.map_batches(tag_hot, batch_format="pandas"))
-
-    def mark(bucket: pd.DataFrame) -> pd.DataFrame:
-        drop = bucket.loc[bucket["_side"] == "h", "line"]
-        l = bucket.loc[bucket["_side"] == "l", [id_col, "_idx", "line"]]
-        return pd.DataFrame(
-            {
-                # the tag union NaN-pads the h rows' int columns — cast back
-                id_col: l[id_col].to_numpy(np.int64),
-                "_idx": l["_idx"].to_numpy(np.int64),
-                "line": l["line"].to_numpy(dtype=object),
-                "_kept": ~l["line"].isin(set(drop)),
             }
         )
 
-    marked = bucketed_map_groups(tagged, ["line"], mark, num_buckets)
+    def mark(l: pd.DataFrame, hot_lines: pd.DataFrame) -> pd.DataFrame:
+        return l.assign(_kept=~l["line"].isin(hot_lines["line"]))
+
+    marked = cogroup(
+        ds.map_batches(explode, batch_format="pandas", batch_size=4096),
+        hot,
+        ["line"],
+        mark,
+        num_buckets,
+        batch_size=4096,
+    )
 
     def reassemble(bucket: pd.DataFrame) -> pd.DataFrame:
         b = bucket.sort_values([id_col, "_idx"], kind="mergesort")

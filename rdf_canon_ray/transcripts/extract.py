@@ -222,10 +222,6 @@ def resolve_mentions_partitioned(
         # the key dtype would otherwise differ between blocks
         for c in _RESOLVED_COLS:
             out[c] = out[c].astype(np.float64) if c in out.columns else np.nan
-        # the join's internal side-union NaN-pads non-key int columns
-        # to float64 (standing trap) — cast turn_idx back before the
-        # emitters stringify it
-        out["turn_idx"] = out["turn_idx"].astype(np.int32)
         return out[MENTION_COLS + _RESOLVED_COLS]
 
     # one materialized pass: three filtered branches below would

@@ -296,10 +296,17 @@ def test_quarantine_poison_graph(ray_session):
     """A poison clique graph is quarantined; healthy graphs still pass."""
     import ray.data as rd
 
-    from rdf_canon_ray.core import nquads
+    from rdf_canon_ray.core import BNODE, make_quad
     from rdf_canon_ray.stages.canonicalize import canonicalize_graphs
 
-    clique = nquads.parse_file("/root/reference/tests/rdfc10/test074-in.nq")
+    # a directed K8 over blank nodes: its HNDQ search overruns the call
+    # limit (tests/test_canon_properties.py pins K8 raising on its own)
+    clique = [
+        make_quad(BNODE, f"k{i}", "urn:rel:link", BNODE, f"k{j}")
+        for i in range(8)
+        for j in range(8)
+        if i != j
+    ]
     rows = [
         {
             "graph_id": "poison",

@@ -69,12 +69,6 @@ def test_remove_boilerplate_partitioned_matches(ray_session):
         )
     )
     pd.testing.assert_frame_equal(bc, part)
-    # and the frequent_lines gate trips when asked to
-    try:
-        webtext.frequent_lines(ds, 5, broadcast_threshold=1)
-        assert False, "gate should have tripped"
-    except ValueError as e:
-        assert "broadcast" in str(e)
 
 
 def test_synth_web_table_deterministic():
