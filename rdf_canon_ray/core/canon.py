@@ -4,10 +4,11 @@ Implements the same algorithm the reference implements in Rust
 (`/root/reference/src/canon.rs`; spec step numbers quoted below), as a
 pure library with no Ray dependency: one call canonicalizes one dataset
 (= one per-conversation subgraph in the distributed engine).  The
-distributed layer drops these functions into
-``groupby(graph_id).map_groups`` — two graphs never share state, exactly
-mirroring the reference's per-invocation ``CanonicalizationState``
-(`src/canon.rs:208`).
+distributed layer (``stages/canonicalize.py``) calls them after one
+bucketed exchange on the graph key (``shuffle.exchange_buckets``), once
+per graph of each exchanged block — two graphs never share state,
+exactly mirroring the reference's per-invocation
+``CanonicalizationState`` (`src/canon.rs:208`).
 
 Behavioral parity notes (each verified against the reference source):
 

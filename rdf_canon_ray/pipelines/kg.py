@@ -52,7 +52,7 @@ from ..transcripts.gen import (
     source_fingerprint,
     transcripts_parquet,
 )
-from ..util import default_buckets, stage_instance
+from ..util import default_buckets, planned, stage_instance
 
 # Driver-side serial floor: the dimension-table reads behind
 # build_link_maps and the ray.put of the result are identical across
@@ -332,13 +332,14 @@ def canonical_graphs_dataset(
             num_buckets=default_buckets(),
         )
     maps_ref = _link_maps_ref(sf_dir)
-    return canonicalize_mentions(
+    # one wave: the exchange holds all its input before the P bucket tasks
+    return planned(canonicalize_mentions(
         mentions_dataset(sf_dir, transcripts),
         maps_ref,
         hash_name=hash_name,
         hndq_call_limit=hndq_call_limit,
         num_buckets=default_buckets(),
-    )
+    ))
 
 
 def scaled_transcripts_parquet(
@@ -457,7 +458,8 @@ def canonical_graphs_partitioned(
     process = _canonicalize_part_files(
         _link_maps_ref(sf_dir), hash_name, hndq_call_limit
     )
-    return store.map_files(store.parts(root), process)
+    # one wave: the whole plan is P ≤ cores part tasks
+    return planned(store.map_files(store.parts(root), process))
 
 
 def canonical_store(
@@ -529,10 +531,11 @@ def canonical_incremental(
         return batch[cols]
 
     # batch_size=None on the delta side keeps the planned delta blocks:
-    # a row batch size would fuse every delta block into one task.
-    return store.read(store.parts(store_dir), cols).union(
+    # a row batch size would fuse every delta block into one task.  The
+    # union of the two map-only reads runs as one wave.
+    return planned(store.read(store.parts(store_dir), cols).union(
         delta_ds.map_batches(project, batch_format="pandas", batch_size=None)
-    )
+    ))
 
 
 def canonical_incremental_full(
@@ -544,7 +547,7 @@ def canonical_incremental_full(
     the byte-equality pytest against the from-scratch rebuild."""
     store_dir = canonical_store(sf_dir, num_buckets, delta_mod)
     delta_ds = _canonical_delta(sf_dir, num_buckets, delta_mod, "sha256")
-    return store.read(store.parts(store_dir)).union(delta_ds)
+    return planned(store.read(store.parts(store_dir)).union(delta_ds))
 
 
 def entity_mention_counts(sf_dir: str) -> rd.Dataset:

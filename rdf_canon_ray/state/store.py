@@ -40,7 +40,8 @@ hash bucket ``b`` — is spelled here and nowhere else:
   delta is a union.
 * ``map_files`` runs a function over listed part files in planned
   blocks, one map task per block of contiguous files
-  (``plan_partitions``); ``read`` and ``bucket_store`` are built on it.
+  (``plan_partitions``); ``read`` and ``bucket_store`` are built on it,
+  and only a store build runs as one wave (``util.planned``).
 
 One driver owns a path at a time; concurrent builders of the same path
 are not coordinated (the last swap wins).
@@ -59,7 +60,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..stages.shuffle import map_buckets, with_buckets
-from ..util import plan_partitions
+from ..util import plan_partitions, planned
 
 FORMAT = 1
 MANIFEST = "_store.json"
@@ -240,6 +241,7 @@ def bucket_store(path: str, base: dict, make_part_table) -> str:
                 rows.append(table.num_rows)
             return pd.DataFrame({"bucket": batch["bucket"], "rows": rows})
 
-        map_files(base, write_block).count()
+        # P write tasks, each returning one small row per file: bounded
+        planned(map_files(base, write_block)).count()
 
     return cached(path, stat_files(base), build)

@@ -16,6 +16,7 @@ import threading
 import types
 
 import ray
+import ray.data as rd
 
 
 def cluster_cpus(default: int = 8) -> int:
@@ -33,6 +34,20 @@ def plan_partitions(n_units: int) -> int:
     One block per core: every core gets work, and each task pays the
     per-call fixed cost of its kernel once over a large input."""
     return max(1, min(n_units, cluster_cpus()))
+
+
+def planned(ds: rd.Dataset) -> rd.Dataset:
+    """A private deep copy of ``ds`` that runs with Ray Data's per-operator
+    object-store reservation off.  The reservation sizes a stage's first
+    task at 2 × ``target_max_block_size`` until an output returns, which
+    on a small store runs that task alone.  The flag drops object-store
+    backpressure for the whole execution of the copy and of all derived
+    from it, so call it only on a finished plan whose stages the cores
+    bound, never on a building block (deep: derived Datasets share one
+    context object)."""
+    ds = rd.Dataset.copy(ds, _deep_copy=True)
+    ds.context.op_resource_reservation_enabled = False
+    return ds
 
 
 def default_buckets(mult: int = 4, floor: int = 32, ceil: int = 1024) -> int:

@@ -230,15 +230,12 @@ def test_earl_report(ray_session, tmp_path):
     assert doc.startswith("@prefix dc:")
 
 
-def test_nquads_source_roundtrip(ray_session, tmp_path):
+def test_nquads_source_roundtrip(ray_session, mixed_nquads):
     from rdf_canon_ray.sources.nquads import read_nquads
 
-    src = "/root/reference/tests/rdfc10/test060-in.nq"
-    ds = read_nquads(src)
-    df = ds.to_pandas()
-    import re
+    df = read_nquads(mixed_nquads).to_pandas()
 
-    with open(src, encoding="utf-8") as f:
+    with open(mixed_nquads, encoding="utf-8") as f:
         n_stmts = sum(1 for line in f if line.strip() and not line.startswith("#"))
     assert len(df) == n_stmts
     assert set(df["graph_id"]) >= {""}  # default graph present

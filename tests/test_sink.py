@@ -1,5 +1,5 @@
 """N-Quads source → distributed canonicalization → ordered corpus sink
-round trip over the W3C fixture corpus."""
+round trip over small N-Quads datasets built in code."""
 
 import os
 
@@ -14,11 +14,26 @@ def test_canonical_corpus_sink(ray_session, tmp_path):
     from rdf_canon_ray.sources.nquads import read_nquads, write_canonical_nquads
     from rdf_canon_ray.stages.canonicalize import canonicalize_graphs
 
-    # build a small corpus: three fixture datasets as three graphs
-    fixtures = ["test017-in.nq", "test020-in.nq", "test044-in.nq"]
+    # build a small corpus: three datasets as three graphs — a blank-node
+    # cycle, named graphs (one a blank node) with typed and tagged
+    # literals, and two isomorphic 2-cycles (their hashes tie, so the
+    # n-degree search runs)
+    docs = {
+        "cycle.nq": "_:a <urn:p> _:b .\n_:b <urn:p> _:c .\n"
+        '_:c <urn:p> _:a .\n_:a <urn:q> "x" .\n',
+        "named.nq": "_:e0 <urn:next> _:e1 <urn:g1> .\n"
+        "_:e1 <urn:rest> <urn:nil> <urn:g1> .\n"
+        '_:e0 <urn:label> "zero"@en .\n'
+        '_:e1 <urn:size> "2"^^<http://www.w3.org/2001/XMLSchema#integer> _:g .\n',
+        "twins.nq": "_:x <urn:p> _:y .\n_:y <urn:p> _:x .\n"
+        "_:z <urn:p> _:w .\n_:w <urn:p> _:z .\n",
+    }
+    fixtures = list(docs)
+    for f, text in docs.items():
+        (tmp_path / f).write_text(text, encoding="utf-8")
     rows = []
     for f in fixtures:
-        quads = nquads.parse_file(f"/root/reference/tests/rdfc10/{f}")
+        quads = nquads.parse_file(str(tmp_path / f))
         for q in quads:
             rows.append(
                 {
@@ -45,16 +60,16 @@ def test_canonical_corpus_sink(ray_session, tmp_path):
     # per-graph canonical docs in graph_id order
     whole = "".join(open(p, encoding="utf-8").read() for p in paths)
     expected = "".join(
-        canonicalize(nquads.parse_file(f"/root/reference/tests/rdfc10/{f}"))
+        canonicalize(nquads.parse_file(str(tmp_path / f)))
         for f in sorted(fixtures)
     )
     assert whole == expected
 
 
-def test_read_nquads_graph_ids(ray_session):
+def test_read_nquads_graph_ids(ray_session, mixed_nquads):
     from rdf_canon_ray.sources.nquads import read_nquads
 
-    df = read_nquads("/root/reference/tests/rdfc10/test060-in.nq").to_pandas()
+    df = read_nquads(mixed_nquads).to_pandas()
     # named graphs become their serialized term; default graph ""
     assert "" in set(df["graph_id"])
     named = {g for g in df["graph_id"] if g}
