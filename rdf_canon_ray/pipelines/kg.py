@@ -2,15 +2,20 @@
 
 Ray-Data-first lifecycle (SURVEY.md §3.4):
 
-    read_parquet(transcripts)                 # or build_transcripts (map-only)
-    → map_batches(extract_mentions_arrow)     # stateless tasks, RE2
-    → [triples / links view]  (map-only)      # SQL-oracle-checkable
+    read_parquet(transcripts, _EXTRACT_COLS)  # or build_transcripts (map-only)
     → bucketed exchange on conv_id            # THE shuffle, one block/core
-    → canonicalize_bucket                     # link + RDFC-1.0 per block
+    → canonicalize_transcripts                # extract + link + RDFC-1.0
+                                              #   once per block
     → write_parquet sinks (partitioned, resumable)
 
-The partitioned and incremental paths run the same extraction and
-bucket kernel map-only over the conv-bucket transcript layout.  The
+The exchange carries transcript rows, so extraction runs inside the
+parallel block tasks.  The link views (triples, links, mention counts)
+extract map-only (``mentions_dataset``), and so does the partitioned
+linker, which resolves surfaces with cogroups before its exchange and
+so needs mentions first.
+
+The partitioned and incremental paths run the same kernel call
+(``canonicalize_transcripts``) map-only over the conv-bucket layout.  The
 layout itself belongs to ``state/store.py``: ``store.write_buckets``
 writes it (hashed by the exchange's own prepare, like
 ``shuffle.add_bucket``), ``store.parts`` / ``store.split_parts`` list
@@ -39,6 +44,8 @@ from ..stages.canonicalize import (
     _GRAPH_SCHEMA,
     canonicalize_bucket,
     canonicalize_graphs,
+    canonicalize_transcripts,
+    exchange_conversations,
 )
 from ..transcripts.extract import (
     _EXTRACT_COLS,
@@ -113,19 +120,26 @@ def transcripts_dataset(sf_dir: str, materialized: bool = True) -> rd.Dataset:
     return build_transcripts(sf_dir)
 
 
-def mentions_dataset(sf_dir: str, transcripts: Optional[rd.Dataset] = None) -> rd.Dataset:
+def _extract_input(
+    sf_dir: str, transcripts: Optional[rd.Dataset] = None
+) -> rd.Dataset:
+    """The transcript columns extraction reads (``_EXTRACT_COLS``):
+    pruned at the read, or projected from the caller's dataset, so
+    tool/ts never leave storage or cross an exchange."""
     if transcripts is None:
-        # prune at the read: extraction needs 4 of the 6 transcript
-        # columns (tool/ts never leave storage)
-        ds = rd.read_parquet(
-            transcripts_parquet(sf_dir), columns=_EXTRACT_COLS
-        )
-    else:
-        ds = transcripts
+        return rd.read_parquet(transcripts_parquet(sf_dir), columns=_EXTRACT_COLS)
+    return transcripts.select_columns(_EXTRACT_COLS)
+
+
+def mentions_dataset(sf_dir: str, transcripts: Optional[rd.Dataset] = None) -> rd.Dataset:
+    """Extracted mention rows, map-only: they feed the link views
+    (triples, links, mention counts) and the partitioned linker.  The
+    canonical-graph paths extract inside their kernel call instead
+    (``canonicalize_transcripts``)."""
     # Stateless tasks (not an actor pool): tasks scale to every free core
     # immediately — an autoscaling pool ramps too slowly for a
     # seconds-long stage. Arrow-native RE2 extraction; zero-copy input.
-    return ds.map_batches(
+    return _extract_input(sf_dir, transcripts).map_batches(
         extract_mentions_arrow, batch_format="pyarrow", batch_size=8192
     )
 
@@ -311,34 +325,40 @@ def canonical_graphs_dataset(
     force_partitioned_linker: bool = False,
 ) -> rd.Dataset:
     """Per-conversation canonical graphs via the fused fast path: the
-    all-to-all exchange moves the compact mentions table; quad expansion
-    and RDFC-1.0 run post-shuffle inside each bucket.  (The generic
-    quads-table path is ``stages.canonicalize.canonicalize_graphs``,
-    used by the N-Quads source and tests.)
+    all-to-all exchange moves the transcript rows (``_EXTRACT_COLS``; a
+    caller's dataset is projected to them), and extraction, linking and
+    RDFC-1.0 run post-shuffle in one kernel call per block
+    (``canonicalize_transcripts``).  (The generic quads-table path is
+    ``stages.canonicalize.canonicalize_graphs``, used by the N-Quads
+    source and tests.)
 
     Above ``LINKER_BROADCAST_MAX`` dimension rows (or with
     ``force_partitioned_linker``) the mention surfaces resolve via
-    co-partitioned hash joins BEFORE the conversation exchange and the
-    bucket kernel runs dict-free — no driver-side dimension state
-    (pytest pins byte-equality with the broadcast path)."""
-    from ..stages.canonicalize import canonicalize_mentions
-
+    co-partitioned hash joins BEFORE the conversation exchange, so that
+    exchange moves the resolved mentions, and the bucket kernel runs
+    dict-free — no driver-side dimension state (pytest pins
+    byte-equality with the broadcast path)."""
     if _use_partitioned_linker(sf_dir, force_partitioned_linker):
-        return canonicalize_mentions(
+        empty_ref = _empty_maps_ref()
+
+        def link_resolved(block):
+            return canonicalize_bucket(
+                block.to_pandas(), empty_ref, hash_name, hndq_call_limit
+            )
+
+        return exchange_conversations(
             _resolved_mentions(sf_dir, transcripts),
-            _empty_maps_ref(),
-            hash_name=hash_name,
-            hndq_call_limit=hndq_call_limit,
-            num_buckets=default_buckets(),
+            link_resolved,
+            default_buckets(),
         )
     maps_ref = _link_maps_ref(sf_dir)
+
+    def extract_and_link(block):
+        return canonicalize_transcripts(block, maps_ref, hash_name, hndq_call_limit)
+
     # one wave: the exchange holds all its input before the P bucket tasks
-    return planned(canonicalize_mentions(
-        mentions_dataset(sf_dir, transcripts),
-        maps_ref,
-        hash_name=hash_name,
-        hndq_call_limit=hndq_call_limit,
-        num_buckets=default_buckets(),
+    return planned(exchange_conversations(
+        _extract_input(sf_dir, transcripts), extract_and_link, default_buckets()
     ))
 
 
@@ -418,8 +438,8 @@ def _canonicalize_part_files(
     maps_ref, hash_name: str, hndq_call_limit: Optional[int]
 ):
     """Batch fn: conv-bucket part file paths → canonical graph rows.
-    The batch's part files are read as one table, and extraction and
-    ``canonicalize_bucket`` run ONCE over it: the kernel's per-call
+    The batch's part files are read as one table, and the kernel call
+    (``canonicalize_transcripts``) runs ONCE over it: its per-call
     fixed cost is paid per batch, not per file (the map-only flagship
     shared by the partitioned, store-build and incremental paths)."""
     import pyarrow as pa
@@ -431,11 +451,8 @@ def _canonicalize_part_files(
         transcripts = pa.concat_tables(
             [pq.read_table(p, columns=_EXTRACT_COLS) for p in batch["path"]]
         )
-        return canonicalize_bucket(
-            extract_mentions_arrow(transcripts).to_pandas(),
-            maps_ref,
-            hash_name,
-            hndq_call_limit,
+        return canonicalize_transcripts(
+            transcripts, maps_ref, hash_name, hndq_call_limit
         )
 
     return process
@@ -653,18 +670,26 @@ def run_kg_resumable(
     rerun skips completed buckets at the input filter (kill/resume safe).
     ``_fail_buckets`` injects failures for the resume test.
 
+    The exchange carries transcript rows (``_EXTRACT_COLS``) and each
+    bucket runs the flagship kernel call (``canonicalize_transcripts``),
+    so extraction runs inside the parallel bucket tasks.  Bucket ids
+    hash ``conv_id`` alone.
+
     Returns the run-summary DataFrame (bucket, rows, status, seconds).
     """
+    import pyarrow as pa
+
     from ..state.lineage import resumable_bucket_run
 
     maps_ref = _link_maps_ref(sf_dir)
-    mentions = mentions_dataset(sf_dir, transcripts)
-
     fail = _fail_buckets or set()
 
     def bucket_fn(bucket):
-        return canonicalize_bucket(
-            bucket, maps_ref, "sha256", hndq_call_limit
+        return canonicalize_transcripts(
+            pa.Table.from_pandas(bucket, preserve_index=False),
+            maps_ref,
+            "sha256",
+            hndq_call_limit,
         ).to_pandas()
 
     def failing_bucket_fn(bucket):
@@ -678,7 +703,7 @@ def run_kg_resumable(
         return bucket_fn(bucket)
 
     return resumable_bucket_run(
-        mentions,
+        _extract_input(sf_dir, transcripts),
         ["conv_id"],
         failing_bucket_fn if fail else bucket_fn,
         os.path.join(output_root, "graphs"),

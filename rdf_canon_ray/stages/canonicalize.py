@@ -8,17 +8,19 @@ is embarrassingly parallel.
 
 ``canonicalize_graphs(quads_ds)`` hash-buckets the quads by ``graph_id``
 and runs one bucketed exchange (``stages.shuffle.exchange_buckets``) —
-the one all-to-all shuffle of the KG pipeline; ``canonicalize_mentions``
-is the flagship's fused form of it.  Graphs whose HNDQ cost exceeds the
-call limit are routed to ``status="quarantined"`` instead of failing the
-job (the reference's ``HndqCallLimitExceeded`` made recoverable,
+the one all-to-all shuffle of the KG pipeline; ``exchange_conversations``
+is the flagship's fused form of it: transcript rows cross the exchange
+and ``canonicalize_transcripts`` (extract → link → RDFC-1.0) runs once
+per block.  Graphs whose HNDQ cost exceeds the call limit are routed to
+``status="quarantined"`` instead of failing the job (the reference's
+``HndqCallLimitExceeded`` made recoverable,
 `/root/reference/src/error.rs:14-15`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Callable, Optional
 
 import pandas as pd
 import pyarrow as pa
@@ -30,7 +32,7 @@ from ..core.canon import (
     canonicalize_quads_with_map,
 )
 from ..core.terms import BNODE, DEFAULT, IRI, LITERAL
-from ..transcripts.extract import EntityLinker
+from ..transcripts.extract import EntityLinker, extract_mentions_arrow
 from ..util import stage_instance
 
 # canonical-graph row schema (canonicalize_one's dict): declared
@@ -194,10 +196,11 @@ def canonicalize_bucket(
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
 ) -> pa.Table:
-    """The flagship bucket kernel, shared by the shuffle, partitioned,
-    store-build, incremental and resumable paths: a mentions frame
-    holding whole conversations → link → per-graph 9-tuples → RDFC-1.0
-    (with the conversation-structure quads) → one row per graph.
+    """Mentions holding whole conversations → link → per-graph 9-tuples
+    → RDFC-1.0 (with the conversation-structure quads) → one row per
+    graph.  Fed by ``canonicalize_transcripts`` on every
+    transcript-fed path, and directly by the partitioned-linker
+    exchange, whose mentions carry pre-resolved keys.
 
     Output is an ARROW table with ``_GRAPH_SCHEMA``: the canonical
     documents are ~0.5 GB of strings at sf0.1 — Arrow blocks store and
@@ -214,34 +217,50 @@ def canonicalize_bucket(
     )
 
 
-def canonicalize_mentions(
-    mentions_ds: rd.Dataset,
+def canonicalize_transcripts(
+    transcripts: pa.Table,
     maps_ref,
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
-    num_buckets: int = 64,
-) -> rd.Dataset:
-    """Fused fast path: shuffle the COMPACT mentions table (one row per
-    mention) by conversation bucket, then expand to quads and
-    canonicalize after the exchange (``canonicalize_bucket``).
+) -> pa.Table:
+    """The flagship kernel call, shared by every transcript-fed path
+    (the shuffle's bucket blocks, the partitioned part tasks, the store
+    build, the incremental delta and the resumable buckets): Arrow
+    transcript rows holding whole conversations →
+    ``extract_mentions_arrow`` → ``canonicalize_bucket`` →
+    ``_GRAPH_SCHEMA`` rows.  Extraction runs here, inside the parallel
+    kernel tasks, where the data crosses into Python anyway."""
+    mentions = extract_mentions_arrow(transcripts).to_pandas()
+    return canonicalize_bucket(mentions, maps_ref, hash_name, hndq_call_limit)
 
-    The exchange (``exchange_buckets``) makes one block per core, and a
-    conversation never straddles a block, so the bucket kernel runs
-    ONCE per block over all of its conversations: its per-call fixed
-    cost (linker frame builds, Arrow out) is paid per core, not per
-    bucket.  Versus ``canonicalize_graphs`` over a pre-expanded quads
-    table this moves ~6× fewer rows/bytes through the exchange — the
-    quad expansion is recomputed post-shuffle where it is cheap and
-    local.  Link maps are broadcast (``ray.put``) and deserialized once
-    per worker process (``util.stage_instance``)."""
+
+def exchange_conversations(
+    ds: rd.Dataset,
+    kernel: Callable[[pa.Table], pa.Table],
+    num_buckets: int,
+) -> rd.Dataset:
+    """The shuffle flagship's exchange: rows keyed by ``conv_id``
+    (transcript rows, or resolved mentions on the partitioned-linker
+    path) are bucketed by conversation and exchanged into one block per
+    core, and ``kernel`` runs ONCE per Arrow block over all of its
+    conversations.  A conversation never straddles a block, so the
+    kernel's per-call fixed cost (linker frame builds, Arrow out) is
+    paid per core, not per bucket.
+
+    On the broadcast-linker path the exchange carries transcript rows
+    (``_EXTRACT_COLS`` only): the same bytes as the mentions extracted
+    from them (kgbench, 3000 conversations: 1.97 MB of transcript rows
+    against 2.02 MB of mentions), and extraction moves into the
+    parallel block tasks.  Link maps are broadcast (``ray.put``) and
+    deserialized once per worker process (``util.stage_instance``)."""
     from .shuffle import exchange_buckets, with_buckets
 
-    def run_block(block: pd.DataFrame) -> pa.Table:
-        if len(block) == 0:
+    def run_block(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
             return _GRAPH_SCHEMA.empty_table()
-        return canonicalize_bucket(block, maps_ref, hash_name, hndq_call_limit)
+        return kernel(block)
 
-    bucketed = with_buckets(mentions_ds, ["conv_id"], num_buckets)
+    bucketed = with_buckets(ds, ["conv_id"], num_buckets)
     return exchange_buckets(bucketed, num_buckets).map_batches(
-        run_block, batch_format="pandas", batch_size=None
+        run_block, batch_format="pyarrow", batch_size=None
     )

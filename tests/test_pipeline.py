@@ -94,6 +94,19 @@ def test_canonical_graphs_deterministic(transcripts):
         .reset_index(drop=True)
     )
     assert g1["canon_nquads"].equals(g2["canon_nquads"])
+    # the 6-column inline transcripts (tool, ts included) give the same
+    # documents as the 4-column cached read
+    assert list(transcripts.schema().names) == [
+        "conv_id", "turn_idx", "role", "text", "tool", "ts"
+    ]
+    cached = (
+        kg.canonical_graphs_dataset(SF)
+        .to_pandas()
+        .sort_values("graph_id")
+        .reset_index(drop=True)
+    )
+    assert g1["graph_id"].equals(cached["graph_id"])
+    assert g1["canon_nquads"].equals(cached["canon_nquads"])
 
 
 def test_partitioned_path_matches_shuffle_path(ray_session, tmp_path):
@@ -182,9 +195,15 @@ def test_flagship_stages_run_planned_task_counts(ray_session):
     from rdf_canon_ray.util import cluster_cpus, default_buckets, plan_partitions
 
     cores = cluster_cpus()
-    assert _tasks_of(_operators(kg.canonical_graphs_dataset(SF)), "run_block") == (
-        plan_partitions(default_buckets())
-    )
+    shuffle_ops = _operators(kg.canonical_graphs_dataset(SF))
+    assert _tasks_of(shuffle_ops, "run_block") == plan_partitions(default_buckets())
+    # extraction runs inside the bucket tasks, not as a stage before the
+    # exchange (where fusion with the prepare made it one serial task)
+    assert not [
+        op.operator_name
+        for op in shuffle_ops
+        if "MapBatches(extract_mentions_arrow)" in op.operator_name
+    ]
     assert _tasks_of(_operators(kg.canonical_graphs_partitioned(SF, 16)), "process") == min(
         16, cores
     )
