@@ -10,6 +10,13 @@ per graph of each exchanged block — two graphs never share state,
 exactly mirroring the reference's per-invocation
 ``CanonicalizationState`` (`src/canon.rs:208`).
 
+Every caller shares ONE kernel, ``canonicalize_templates``: it takes a
+dataset as serialization templates (``_quad_template``: the non-bnode
+parts pre-rendered, a ``None`` static marking a blank node) and runs
+dedup → H1DQ / HNDQ → render.  The flagship renders its templates
+columnar in Arrow; ``canonicalize_quads_with_map`` (and so
+``canonicalize``) is the adapter for lists of quad tuples.
+
 Behavioral parity notes (each verified against the reference source):
 
 * All "code point ordered" iterations use Python ``sorted()`` on ``str``,
@@ -136,9 +143,13 @@ def _quad_template(q: Quad) -> tuple:
     """Precomputed serialization template for one quad: every non-bnode
     part is rendered ONCE (IRI brackets, literal escaping) so the hot
     loops (H1DQ per mentioning bnode, final doc render) only substitute
-    bnode labels.  ``(q, s_static, s, " <p> ", o_static, o, g_static, g)``
+    bnode labels.  ``(s_static, s, " <p> ", o_static, o, g_static, g)``
     — a ``None`` static marks a bnode slot; ``g_static`` carries its
-    leading space (empty for the default graph)."""
+    leading space (empty for the default graph).  Rendering is
+    injective on the quads ``nquads.parse`` produces (it drops an
+    ``xsd:string`` datatype, which serializes as none), so deduplicating
+    templates deduplicates quads.  The flagship renders the same tuples columnar
+    (``stages.canonicalize``)."""
     s_kind, s, p, o_kind, o, o_dt, o_lang, g_kind, g = q
     s_st = "<" + s + ">" if s_kind == IRI else None
     o_st = term_to_string(o_kind, o, o_dt, o_lang) if o_kind != BNODE else None
@@ -148,11 +159,23 @@ def _quad_template(q: Quad) -> tuple:
         g_st = " <" + g + ">"
     else:
         g_st = None
-    return (q, s_st, s, " <" + p + "> ", o_st, o, g_st, g)
+    return (s_st, s, " <" + p + "> ", o_st, o, g_st, g)
+
+
+def _template_string(t: tuple) -> str:
+    """A template with its own blank node labels: ``quad_to_string``."""
+    s_st, s, mid, o_st, o, g_st, g = t
+    return (
+        (s_st if s_st is not None else "_:" + s)
+        + mid
+        + (o_st if o_st is not None else "_:" + o)
+        + (g_st if g_st is not None else " _:" + g)
+    )
 
 
 class _State:
-    """Spec §4.2 canonicalization state (`src/canon.rs:17-89`)."""
+    """Spec §4.2 canonicalization state (`src/canon.rs:17-89`) over the
+    serialization templates of a dataset's quads (``_quad_template``)."""
 
     __slots__ = (
         "mention_map",
@@ -163,6 +186,15 @@ class _State:
     )
 
     def __init__(self, quads: Sequence[Quad], hash_name: str):
+        self._index([_quad_template(q) for q in quads], hash_name)
+
+    @classmethod
+    def of_templates(cls, templates: List[tuple], hash_name: str) -> "_State":
+        state = cls.__new__(cls)
+        state._index(templates, hash_name)
+        return state
+
+    def _index(self, templates: List[tuple], hash_name: str) -> None:
         self.hash_name = hash_name
         self.canonical_issuer = IdentifierIssuer(CANONICAL_PREFIX)
         self.h1dq_cache: Dict[str, str] = {}
@@ -170,17 +202,16 @@ class _State:
         # per bnode component position (subject, object, graph), so a quad
         # like ``_:a <p> _:a`` appears twice in ``_:a``'s list
         # (`src/canon.rs:44-76`).  Entries are serialization TEMPLATES
-        # (see ``_quad_template``); ``entry[0]`` is the original quad.
-        self.templates = [_quad_template(q) for q in quads]
+        # (see ``_quad_template``); a ``None`` static is a bnode slot.
+        self.templates = templates
         mention: Dict[str, List[tuple]] = {}
-        for t in self.templates:
-            q = t[0]
-            if q[0] == BNODE:
-                mention.setdefault(q[1], []).append(t)
-            if q[3] == BNODE:
-                mention.setdefault(q[4], []).append(t)
-            if q[7] == BNODE:
-                mention.setdefault(q[8], []).append(t)
+        for t in templates:
+            if t[0] is None:
+                mention.setdefault(t[1], []).append(t)
+            if t[3] is None:
+                mention.setdefault(t[4], []).append(t)
+            if t[5] is None:
+                mention.setdefault(t[6], []).append(t)
         self.mention_map = mention
 
     # --- 4.6 Hash First Degree Quads (`src/canon.rs:491-580`) ---------
@@ -192,7 +223,7 @@ class _State:
         if entries is None:
             raise QuadsNotExist(n)
         lines = []
-        for _q, s_st, s, mid, o_st, o, g_st, g in entries:
+        for s_st, s, mid, o_st, o, g_st, g in entries:
             subj = s_st if s_st is not None else ("_:a" if s == n else "_:z")
             obj = o_st if o_st is not None else ("_:a" if o == n else "_:z")
             if g_st is None:
@@ -209,7 +240,7 @@ class _State:
         (`src/logger.rs`; golden files in tests/rdfc10_supplement).
         Trace-only; the hash path above sorts before digesting."""
         out = []
-        for _q, s_st, s, mid, o_st, o, g_st, g in self.mention_map[n]:
+        for s_st, s, mid, o_st, o, g_st, g in self.mention_map[n]:
             subj = s_st if s_st is not None else ("_:a" if s == n else "_:z")
             obj = o_st if o_st is not None else ("_:a" if o == n else "_:z")
             if g_st is None:
@@ -250,18 +281,18 @@ class _State:
         if entries is None:
             raise QuadsNotExist(identifier)
 
-        # Step 3: Hn — related-hash → related bnode identifiers.
+        # Step 3: Hn — related-hash → related bnode identifiers.  A
+        # ``None`` static is a bnode; the predicate is ``mid`` unwrapped.
         h_n: Dict[str, List[str]] = {}
-        for ent in entries:
-            s_kind, s, p, o_kind, o, _dt, _lang, g_kind, g = ent[0]
-            if s_kind == BNODE and s != identifier:
-                h = self.hash_related_blank_node(s, p, issuer, "s")
+        for s_st, s, mid, o_st, o, g_st, g in entries:
+            if s_st is None and s != identifier:
+                h = self.hash_related_blank_node(s, mid[2:-2], issuer, "s")
                 h_n.setdefault(h, []).append(s)
-            if o_kind == BNODE and o != identifier:
-                h = self.hash_related_blank_node(o, p, issuer, "o")
+            if o_st is None and o != identifier:
+                h = self.hash_related_blank_node(o, mid[2:-2], issuer, "o")
                 h_n.setdefault(h, []).append(o)
-            if g_kind == BNODE and g != identifier:
-                h = self.hash_related_blank_node(g, p, issuer, "g")
+            if g_st is None and g != identifier:
+                h = self.hash_related_blank_node(g, mid[2:-2], issuer, "g")
                 h_n.setdefault(h, []).append(g)
 
         data_to_hash: List[str] = []
@@ -327,13 +358,21 @@ class _State:
         return _hash(self.hash_name, "".join(data_to_hash)), issuer
 
 
+def _templates(quads: Iterable[Quad]) -> List[tuple]:
+    return [_quad_template(q) for q in quads]
+
+
+def _dedup(templates: Iterable[tuple]) -> List[tuple]:
+    """Set semantics (oxrdf ``Dataset``, `src/api.rs:287,559`), first
+    occurrence kept: templates are injective on quads."""
+    return list(dict.fromkeys(templates))
+
+
 def issue(
     quads: Iterable[Quad],
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
-    _deduped: bool = False,
     trace=None,
-    _state: Optional[_State] = None,
 ) -> Dict[str, str]:
     """4.4 Canonicalization Algorithm → issued-identifiers map
     (input blank node label → ``c14nN``); `src/canon.rs:196-480`.
@@ -341,14 +380,19 @@ def issue(
     ``trace``: optional ``core.trace.CanonTrace`` collecting the spec log
     points (the engine's analogue of the reference's YAML debug logger,
     `src/logger.rs`); zero overhead when None."""
-    if not _deduped:
-        quads = dedup_quads(quads)
-    state = _state if _state is not None else _State(quads, hash_name)
+    state = _State.of_templates(_dedup(_templates(quads)), hash_name)
+    return _issue(state, hndq_call_limit, trace)
+
+
+def _issue(
+    state: _State, hndq_call_limit: Optional[int], trace=None
+) -> Dict[str, str]:
+    """Steps 3-5 of 4.4.3 over an indexed state."""
     counter = HndqCallCounter(hndq_call_limit)
 
     if trace is not None:
         trace.mention_map = {
-            n: [quad_to_string(ent[0]) + " ." for ent in entries]
+            n: [_template_string(t) + " ." for t in entries]
             for n, entries in sorted(state.mention_map.items())
         }
 
@@ -539,27 +583,33 @@ def canonicalize_quads_with_map(
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
 ) -> Tuple[str, Dict[str, str]]:
-    """Canonical document plus the issued-identifiers map in one pass —
-    the engine's per-graph kernel (the map is the join key for
-    cross-graph entity canonicalization)."""
-    quads = dedup_quads(quads)
-    state = _State(quads, hash_name)
-    mapping = issue(
-        quads,
-        hash_name=hash_name,
-        hndq_call_limit=hndq_call_limit,
-        _deduped=True,
-        _state=state,
-    )
+    """Canonical document plus the issued-identifiers map of a list of
+    quads: the generic adapter onto ``canonicalize_templates`` (it
+    serves ``canonicalize``, the generic quads-table path and kgbench's
+    replay)."""
+    return canonicalize_templates(_templates(quads), hash_name, hndq_call_limit)
+
+
+def canonicalize_templates(
+    templates: Iterable[tuple],
+    hash_name: str = "sha256",
+    hndq_call_limit: Optional[int] = None,
+) -> Tuple[str, Dict[str, str]]:
+    """The per-graph kernel: serialization templates of one dataset's
+    quads (``_quad_template``; the flagship renders them columnar) →
+    dedup → H1DQ / HNDQ → canonical document plus the issued-identifiers
+    map (the join key for cross-graph entity canonicalization)."""
+    state = _State.of_templates(_dedup(templates), hash_name)
+    mapping = _issue(state, hndq_call_limit)
     # Serialize directly with label substitution — one pass instead of
     # relabel-then-reserialize (relabeled quads stay a set: substitution
     # is injective on distinct quads given a bijective label map).  The
-    # templates built for H1DQ already hold every non-bnode part
-    # rendered; only canonical labels are substituted here.  A missing
-    # label raises like ``relabel`` does.
+    # templates already hold every non-bnode part rendered; only
+    # canonical labels are substituted here.  A missing label raises
+    # like ``relabel`` does.
     strs = []
     try:
-        for _q, s_st, s, mid, o_st, o, g_st, g in state.templates:
+        for s_st, s, mid, o_st, o, g_st, g in state.templates:
             subj = s_st if s_st is not None else "_:" + mapping[s]
             obj = o_st if o_st is not None else "_:" + mapping[o]
             if g_st is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, List
 
-from .terms import BNODE, DEFAULT, IRI, LITERAL, Quad, quad_to_line
+from .terms import BNODE, DEFAULT, IRI, LITERAL, XSD_STRING, Quad, quad_to_line
 
 _ECHAR = {
     "t": "\t",
@@ -92,6 +92,8 @@ def parse_line(line: str) -> Quad | None:
         o_kind = LITERAL
         o = unescape(o_lex)
         dt = unescape(o_dt) if o_dt is not None else ""
+        if dt == XSD_STRING:  # a simple literal (RDF 1.1): one term
+            dt = ""
         lang = o_lang or ""
 
     if g_iri is not None:

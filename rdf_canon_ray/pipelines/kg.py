@@ -342,9 +342,7 @@ def canonical_graphs_dataset(
         empty_ref = _empty_maps_ref()
 
         def link_resolved(block):
-            return canonicalize_bucket(
-                block.to_pandas(), empty_ref, hash_name, hndq_call_limit
-            )
+            return canonicalize_bucket(block, empty_ref, hash_name, hndq_call_limit)
 
         return exchange_conversations(
             _resolved_mentions(sf_dir, transcripts),

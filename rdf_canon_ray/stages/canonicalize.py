@@ -15,24 +15,42 @@ per block.  Graphs whose HNDQ cost exceeds the call limit are routed to
 ``status="quarantined"`` instead of failing the job (the reference's
 ``HndqCallLimitExceeded`` made recoverable,
 `/root/reference/src/error.rs:14-15`).
+
+The flagship kernel call stays columnar until ONE crossing into
+Python: the linker emits one Arrow quads table, the
+conversation-structure quads are built from its ``idx`` rows in Arrow
+(``structure_quads``), the quads are rendered to serialization
+templates per distinct string (``_template_columns``), and each graph's
+template slice goes to ``core.canon.canonicalize_templates``.  The
+9-tuple helpers (``iter_graph_tuples``, ``add_structure_quads``,
+``canonicalize_one``) serve the generic quads-table path
+(``canonicalize_graphs``) and kgbench's single-process replay.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Callable, Optional
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from ..core.canon import (
     CanonicalizationError,
     HndqCallLimitExceeded,
-    canonicalize_quads_with_map,
+    _quad_template,
+    canonicalize_templates,
 )
-from ..core.terms import BNODE, DEFAULT, IRI, LITERAL
-from ..transcripts.extract import EntityLinker, extract_mentions_arrow
+from ..core.terms import BNODE, DEFAULT, IRI, LITERAL, term_to_string
+from ..transcripts.extract import (
+    EntityLinker,
+    extract_mentions_arrow,
+    quad_rows,
+)
 from ..util import stage_instance
 
 # canonical-graph row schema (canonicalize_one's dict): declared
@@ -60,7 +78,8 @@ def iter_graph_tuples(df: pd.DataFrame):
     """Yield ``(graph_id, quad_tuples)`` per graph from a flat quads
     DataFrame — column arrays are materialized ONCE for the whole frame
     and sliced per graph (pandas per-group ``__getitem__`` was ~36% of
-    kernel wall time)."""
+    kernel wall time).  Serves the generic quads-table path and
+    kgbench's replay; the flagship renders templates columnar."""
     import numpy as np
 
     if len(df) == 0:
@@ -98,7 +117,9 @@ def add_structure_quads(quads: list, conv_id: str) -> list:
     Turn nodes are ordered by ``(idx, label)`` — the stable turn ordering
     of the assembly invariant (ties broken by the text-hash label, and
     duplicate turns have already collapsed to one node under set
-    semantics).
+    semantics).  ``structure_quads`` builds the same quads columnar for
+    the flagship; this 9-tuple form serves ``canonicalize_graphs`` and
+    kgbench's replay.
     """
     turns = sorted(
         {
@@ -135,25 +156,43 @@ def canonicalize_one(
     list of core 9-tuples (``iter_graph_tuples``)."""
     if structure:
         quads = add_structure_quads(quads, graph_id)
-    n_bnodes = len(
-        {q[1] for q in quads if q[0] == BNODE}
-        | {q[4] for q in quads if q[3] == BNODE}
-        | {q[8] for q in quads if q[7] == BNODE}  # bnode graph names
+    return _graph_row(
+        graph_id, [_quad_template(q) for q in quads], hash_name, hndq_call_limit
     )
+
+
+def _graph_row(
+    graph_id: str,
+    templates: list,
+    hash_name: str,
+    hndq_call_limit: Optional[int],
+) -> dict:
+    """One graph's serialization templates → its ``_GRAPH_SCHEMA`` row.
+    ``n_quads`` counts the templates before dedup; ``n_bnodes`` is the
+    size of the label map, or of the blank node set when the graph is
+    quarantined."""
     try:
-        doc, label_map = canonicalize_quads_with_map(
-            quads, hash_name=hash_name, hndq_call_limit=hndq_call_limit
+        doc, label_map = canonicalize_templates(
+            templates, hash_name=hash_name, hndq_call_limit=hndq_call_limit
         )
         status, err = "ok", ""
     except HndqCallLimitExceeded as e:
         doc, label_map, status, err = "", {}, "quarantined", str(e)
     except CanonicalizationError as e:  # pragma: no cover - defensive
         doc, label_map, status, err = "", {}, "error", str(e)
+    if status == "ok":
+        n_bnodes = len(label_map)
+    else:  # a None static is a bnode slot
+        n_bnodes = len(
+            {t[1] for t in templates if t[0] is None}
+            | {t[4] for t in templates if t[3] is None}
+            | {t[6] for t in templates if t[5] is None}
+        )
     return {
         "graph_id": graph_id,
         "canon_nquads": doc,
         "label_map": json.dumps(label_map, sort_keys=True),
-        "n_quads": len(quads),
+        "n_quads": len(templates),
         "n_bnodes": n_bnodes,
         "status": status,
         "error": err,
@@ -190,15 +229,148 @@ def canonicalize_graphs(
     )
 
 
+def structure_quads(quads: pa.Table) -> pa.Table:
+    """``add_structure_quads`` for every graph of a ``QUADS_SCHEMA``
+    table at once, columnar: per graph the session hub, then a
+    ``partOf`` edge per distinct turn and the ``next`` chain, turns
+    ordered by ``(idx, label)`` (the ``idx`` rows' integer object, then
+    their subject label)."""
+    idx = quads.filter(pc.equal(quads["p"], REL_IDX))
+    turns = (
+        pa.table({"g": idx["graph_id"], "idx": pc.cast(idx["o"], pa.int64()),
+                  "label": idx["s"]})
+        .group_by(["g", "idx", "label"])
+        .aggregate([])
+        .sort_by([("g", "ascending"), ("idx", "ascending"), ("label", "ascending")])
+    )
+    gids = pc.unique(quads["graph_id"])
+    out = [
+        quad_rows(gids, BNODE, SESSION_LABEL, REL_IN_CONV, IRI,
+                  pc.binary_join_element_wise("urn:conv:", gids, "")),
+        quad_rows(turns["g"], BNODE, turns["label"], REL_PART_OF, BNODE,
+                  SESSION_LABEL),
+    ]
+    if turns.num_rows > 1:
+        a, b = turns.slice(0, turns.num_rows - 1), turns.slice(1)
+        same = pc.equal(a["g"], b["g"])
+        out.append(quad_rows(a["g"].filter(same), BNODE, a["label"].filter(same),
+                             REL_NEXT, BNODE, b["label"].filter(same)))
+    return pa.concat_tables(out)
+
+
+def _codes(col) -> tuple:
+    """(row codes as numpy, Arrow dictionary) of a string column."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = pc.dictionary_encode(col)
+    return enc.indices.to_numpy().astype(np.int64), enc.dictionary
+
+
+def _objects(values: pa.Array) -> np.ndarray:
+    return values.to_numpy(zero_copy_only=False)
+
+
+def _wrap(values: pa.Array, left: str, right: str) -> np.ndarray:
+    return _objects(pc.binary_join_element_wise(left, values, right, ""))
+
+
+def _literals(quads: pa.Table, rows: np.ndarray, o: np.ndarray, o_values) -> np.ndarray:
+    """``term_to_string`` once per distinct ``(o, o_dt, o_lang)`` of the
+    literal ``rows`` (whose ``o`` codes are ``o``), one entry per row."""
+    dt, dt_values = _codes(quads["o_dt"])
+    lang, lang_values = _codes(quads["o_lang"])
+    pair = np.unique(dt[rows] * len(lang_values) + lang[rows], return_inverse=True)[1]
+    _, first, back = np.unique(
+        o * (int(pair.max()) + 1) + pair, return_index=True, return_inverse=True
+    )
+    at = rows[first]
+    dt_obj, lang_obj = _objects(dt_values), _objects(lang_values)
+    rendered = np.empty(len(at), dtype=object)
+    rendered[:] = [
+        term_to_string(LITERAL, v, d, g)
+        for v, d, g in zip(o_values[o[first]], dt_obj[dt[at]], lang_obj[lang[at]])
+    ]
+    return rendered[back]
+
+
+def _template_columns(quads: pa.Table) -> tuple:
+    """The serialization templates of a ``QUADS_SCHEMA`` table (non-null
+    columns, every quad in the default graph) as numpy object columns
+    ``s_static, s, mid, o_static, o`` (``_quad_template``; a None
+    static is a bnode slot), rows sorted stably by ``graph_id``, plus
+    the sorted graph ids and each row's graph number.
+
+    Each string column crosses once per DISTINCT value: it is
+    dictionary-encoded, IRI brackets and predicates are rendered over
+    the dictionary with Arrow concatenation, literals with
+    ``term_to_string``, and rows take their objects from it, so equal
+    strings are one Python object (its hash is computed once)."""
+    g, g_values = _codes(quads["graph_id"])
+    by_name = pc.sort_indices(g_values)
+    rank = np.empty(len(g_values), np.int64)
+    rank[by_name.to_numpy()] = np.arange(len(g_values))
+    key = rank[g]
+    order = np.argsort(key, kind="stable")
+    s, s_values = _codes(quads["s"])
+    p, p_values = _codes(quads["p"])
+    o, o_values = _codes(quads["o"])
+    o_obj = _objects(o_values)
+    o_kind = quads["o_kind"].to_numpy()
+    s_st = np.where(quads["s_kind"].to_numpy() == IRI, _wrap(s_values, "<", ">")[s], None)
+    o_st = np.where(o_kind == IRI, _wrap(o_values, "<", ">")[o], None)
+    lit = np.flatnonzero(o_kind == LITERAL)
+    if len(lit):
+        o_st[lit] = _literals(quads, lit, o[lit], o_obj)
+    cols = [s_st, _objects(s_values)[s], _wrap(p_values, " <", "> ")[p], o_st, o_obj[o]]
+    return (
+        _objects(g_values.take(by_name)),
+        key[order],
+        [c[order] for c in cols],
+    )
+
+
+def canonicalize_linked(
+    quads: pa.Table,
+    hash_name: str = "sha256",
+    hndq_call_limit: Optional[int] = None,
+) -> pa.Table:
+    """A linker quads table (``EntityLinker._quads_arrow``) → its
+    conversation-structure quads (``structure_quads``) → serialization
+    templates (``_template_columns``) → the template kernel
+    (``core.canon.canonicalize_templates``) on each graph's slice →
+    ``_GRAPH_SCHEMA`` rows in ``graph_id`` order."""
+    if quads.num_rows == 0:
+        return _GRAPH_SCHEMA.empty_table()
+    quads = pa.concat_tables([quads, structure_quads(quads)])
+    gids, key, (s_st, s, mid, o_st, o) = _template_columns(quads)
+    bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [len(key)]])
+    default = repeat("")
+    rows = [
+        _graph_row(
+            gid,
+            list(zip(s_st[a:b], s[a:b], mid[a:b], o_st[a:b], o[a:b], default, default)),
+            hash_name,
+            hndq_call_limit,
+        )
+        for gid, a, b in zip(gids, starts, ends)
+    ]
+    return pa.table(
+        {c: [r[c] for r in rows] for c in _GRAPH_SCHEMA.names},
+        schema=_GRAPH_SCHEMA,
+    )
+
+
 def canonicalize_bucket(
-    mentions: pd.DataFrame,
+    mentions,
     maps_ref,
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
 ) -> pa.Table:
-    """Mentions holding whole conversations → link → per-graph 9-tuples
-    → RDFC-1.0 (with the conversation-structure quads) → one row per
-    graph.  Fed by ``canonicalize_transcripts`` on every
+    """Mentions (Arrow or pandas) holding whole conversations → link
+    (``EntityLinker._quads_arrow``) → ``canonicalize_linked`` → one row
+    per graph.  Fed by ``canonicalize_transcripts`` on every
     transcript-fed path, and directly by the partitioned-linker
     exchange, whose mentions carry pre-resolved keys.
 
@@ -206,15 +378,10 @@ def canonicalize_bucket(
     documents are ~0.5 GB of strings at sf0.1 — Arrow blocks store and
     ship them zero-copy through the object store, where pandas object
     columns would pickle (measured ~0.7 s off the sf0.1 headline)."""
-    quads = stage_instance(EntityLinker, maps_ref=maps_ref)(mentions)
-    rows = [
-        canonicalize_one(gid, tuples, hash_name, hndq_call_limit, structure=True)
-        for gid, tuples in iter_graph_tuples(quads)
-    ]
-    return pa.table(
-        {c: [r[c] for r in rows] for c in _GRAPH_SCHEMA.names},
-        schema=_GRAPH_SCHEMA,
-    )
+    if isinstance(mentions, pd.DataFrame):
+        mentions = pa.Table.from_pandas(mentions, preserve_index=False)
+    linker = stage_instance(EntityLinker, maps_ref=maps_ref)
+    return canonicalize_linked(linker._quads_arrow(mentions), hash_name, hndq_call_limit)
 
 
 def canonicalize_transcripts(
@@ -230,8 +397,9 @@ def canonicalize_transcripts(
     ``extract_mentions_arrow`` → ``canonicalize_bucket`` →
     ``_GRAPH_SCHEMA`` rows.  Extraction runs here, inside the parallel
     kernel tasks, where the data crosses into Python anyway."""
-    mentions = extract_mentions_arrow(transcripts).to_pandas()
-    return canonicalize_bucket(mentions, maps_ref, hash_name, hndq_call_limit)
+    return canonicalize_bucket(
+        extract_mentions_arrow(transcripts), maps_ref, hash_name, hndq_call_limit
+    )
 
 
 def exchange_conversations(

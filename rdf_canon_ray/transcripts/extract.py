@@ -10,13 +10,15 @@ batches — one kernel of each, shared by every flagship path.
   against broadcast dimension arrays (``build_link_maps``; ``ray.put``
   once, deserialized once per worker process).  Ambiguous part names
   resolve deterministically to the MINIMUM matching ``p_partkey`` — the
-  rule the DuckDB oracle reproduces.  Emits the flat quads table
-  (``_quads``, also its ``__call__``), the triples, the entity-mention
-  projection or a scored link table.
+  rule the DuckDB oracle reproduces.  Emits the flat quads table as
+  Arrow (``_quads_arrow``, the flagship kernel's input), the triples,
+  the entity-mention projection or a scored link table.
 
-The quads table uses the flat term layout from
+The quads table (``QUADS_SCHEMA``) uses the flat term layout from
 ``rdf_canon_ray.core.terms`` plus a ``graph_id`` partition key; graph name
-is always the default graph (one RDF graph per conversation).
+is always the default graph (one RDF graph per conversation).  The
+pandas forms (``extract_mentions_batch``, ``EntityLinker.__call__``)
+serve kgbench's single-process replay.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ _EXTRACT_COLS = ["conv_id", "turn_idx", "role", "text"]
 
 
 def extract_mentions_batch(batch: pd.DataFrame) -> pd.DataFrame:
-    """pandas-in, pandas-out entry over ``extract_mentions_arrow``."""
+    """pandas-in, pandas-out entry over ``extract_mentions_arrow``, for
+    kgbench's replay of the partitioned path."""
     table = pa.Table.from_pandas(batch[_EXTRACT_COLS], preserve_index=False)
     return extract_mentions_arrow(table).to_pandas()
 
@@ -293,20 +296,25 @@ def resolve_mentions_partitioned(
 
 
 QUAD_COLS = ["graph_id", "s_kind", "s", "p", "o_kind", "o", "o_dt", "o_lang"]
+QUADS_SCHEMA = pa.schema(
+    [(c, pa.uint8() if c.endswith("_kind") else pa.string()) for c in QUAD_COLS]
+)
 
 
-def _empty_quads() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "graph_id": pd.Series([], dtype=object),
-            "s_kind": pd.Series([], dtype=np.uint8),
-            "s": pd.Series([], dtype=object),
-            "p": pd.Series([], dtype=object),
-            "o_kind": pd.Series([], dtype=np.uint8),
-            "o": pd.Series([], dtype=object),
-            "o_dt": pd.Series([], dtype=object),
-            "o_lang": pd.Series([], dtype=object),
-        }
+def quad_rows(graph_id, s_kind: int, s, p: str, o_kind: int, o, o_dt: str = ""):
+    """``QUADS_SCHEMA`` rows, one per ``graph_id``: ``s`` and ``o`` are
+    Arrow columns or one string for every row; the rest is constant."""
+    n = len(graph_id)
+
+    def col(v, t=pa.string()):
+        if isinstance(v, (pa.Array, pa.ChunkedArray)):
+            return v
+        return pa.repeat(pa.scalar(v, t), n)
+
+    return pa.table(
+        [graph_id, col(s_kind, pa.uint8()), col(s), col(p),
+         col(o_kind, pa.uint8()), col(o), col(o_dt), col("")],
+        schema=QUADS_SCHEMA,
     )
 
 
@@ -361,10 +369,11 @@ class EntityLinker:
     """Mentions → quads, triples, entity mentions or scored links, all
     through one resolver (``resolve``).
 
-    ``_quads`` (also ``__call__``) takes and returns pandas: it is the
-    bucket kernel's quads frame, which ``iter_graph_tuples`` marshals for
-    the RDFC-1.0 kernel.  The ``*_arrow`` emitters take and return Arrow
-    tables (``batch_format="pyarrow"`` link stages)."""
+    The ``*_arrow`` emitters take and return Arrow tables: ``_quads_arrow``
+    feeds the bucket kernel (``stages.canonicalize``), the others the
+    ``batch_format="pyarrow"`` link stages.  ``_quads`` (also
+    ``__call__``) is ``_quads_arrow`` as pandas, for kgbench's replay
+    (``iter_graph_tuples``)."""
 
     def __init__(self, maps_ref):
         self.maps = maps_ref if isinstance(maps_ref, dict) else ray.get(maps_ref)
@@ -393,78 +402,60 @@ class EntityLinker:
         found = pc.is_valid(keys)
         return found, keys.filter(found)
 
-    @staticmethod
-    def _rows(graph_id, s_kind, s, p, o_kind, o, o_dt=""):
-        n = len(graph_id)
-        return pd.DataFrame(
-            {
-                "graph_id": np.asarray(graph_id, dtype=object),
-                "s_kind": np.full(n, s_kind, np.uint8),
-                "s": np.asarray(s, dtype=object),
-                "p": np.full(n, p, dtype=object),
-                "o_kind": np.full(n, o_kind, np.uint8),
-                "o": np.asarray(o, dtype=object),
-                "o_dt": np.full(n, o_dt, dtype=object),
-                "o_lang": np.full(n, "", dtype=object),
-            }
-        )
-
-    def _quads(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return _empty_quads()
-        conv = batch["conv_id"].to_numpy(dtype=object)
-        tl = batch["turn_label"].to_numpy(dtype=object)
-        okey_from_conv = np.array(
-            [c[5:] for c in conv], dtype=object
-        )  # "conv-<k>" → "<k>"
-        order_iri = np.char.add(ENT + "order:", okey_from_conv.astype(str))
+    def _quads_arrow(self, batch: pa.Table) -> pa.Table:
+        """The flat quads table (``QUADS_SCHEMA``) of the mention rows:
+        per row its turn node's role, idx literal and order mention, then
+        per mention type the resolved entity edges and mentions, and the
+        order's status and priority literals."""
+        if batch.num_rows == 0:
+            return QUADS_SCHEMA.empty_table()
+        conv = pc.cast(batch["conv_id"], pa.string())
+        # "conv-<k>" → "<k>"
+        order_iri = _iri(ENT + "order:", pc.utf8_slice_codeunits(conv, 5))
+        tl = batch["turn_label"]
+        turns = pa.table({"conv": conv, "tl": tl, "order": order_iri})
         out = [
-            # turn metadata: role + idx literal (idx drives chain building
-            # inside the per-graph canonicalization group).
-            self._rows(conv, BNODE, tl, REL + "role", LITERAL,
-                       batch["role"].to_numpy(dtype=object)),
-            self._rows(conv, BNODE, tl, REL + "idx", LITERAL,
-                       batch["turn_idx"].astype(str).to_numpy(dtype=object),
-                       XSD_INT),
-            self._rows(conv, BNODE, tl, REL + "mentions", IRI, order_iri),
+            # turn metadata: role + idx literal (idx drives the turn chain
+            # of the conversation-structure quads)
+            quad_rows(conv, BNODE, tl, REL + "role", LITERAL, batch["role"]),
+            quad_rows(conv, BNODE, tl, REL + "idx", LITERAL,
+                      pc.cast(batch["turn_idx"], pa.string()), XSD_INT),
+            quad_rows(conv, BNODE, tl, REL + "mentions", IRI, order_iri),
         ]
 
-        def link(sub, idx, col, kind, pred):
+        def link(sub, at, col, kind, pred):
             # order → entity edge plus the turn's mention of the entity
             found, keys = self._lookup(sub, col)
-            idx = idx[found.to_numpy(zero_copy_only=False)]
-            iris = _iri(ENT + kind, keys).to_numpy(zero_copy_only=False)
-            out.append(self._rows(conv[idx], IRI, order_iri[idx],
-                                  REL + pred, IRI, iris))
-            out.append(self._rows(conv[idx], BNODE, tl[idx],
-                                  REL + "mentions", IRI, iris))
+            at = at.filter(found)
+            iris = _iri(ENT + kind, keys)
+            out.append(quad_rows(at["conv"], IRI, at["order"], REL + pred, IRI, iris))
+            out.append(quad_rows(at["conv"], BNODE, at["tl"], REL + "mentions", IRI, iris))
 
-        m = batch["mtype"].to_numpy(dtype=object)
+        mtype = batch["mtype"]
+        sel = pc.equal(mtype, "order_open")
+        if pc.any(sel).as_py():
+            link(batch.filter(sel), turns.filter(sel), "cust_key", "cust:", "placedBy")
 
-        sel = m == "order_open"
-        if sel.any():
-            idx = np.flatnonzero(sel)
-            link(batch.iloc[idx], idx, "cust_key", "cust:", "placedBy")
+        sel = pc.equal(mtype, "order_status")
+        if pc.any(sel).as_py():
+            sub, at = batch.filter(sel), turns.filter(sel)
+            out.append(quad_rows(at["conv"], IRI, at["order"], REL + "status",
+                                 LITERAL, pc.cast(sub["b"], pa.string())))
+            out.append(quad_rows(at["conv"], IRI, at["order"], REL + "priority",
+                                 LITERAL, pc.cast(sub["c"], pa.string())))
 
-        sel = m == "order_status"
-        if sel.any():
-            idx = np.flatnonzero(sel)
-            sub = batch.iloc[idx]
-            out.append(self._rows(conv[idx], IRI, order_iri[idx],
-                                  REL + "status", LITERAL,
-                                  sub["b"].to_numpy(dtype=object)))
-            out.append(self._rows(conv[idx], IRI, order_iri[idx],
-                                  REL + "priority", LITERAL,
-                                  sub["c"].to_numpy(dtype=object)))
+        sel = pc.equal(mtype, "item")
+        if pc.any(sel).as_py():
+            sub, at = batch.filter(sel), turns.filter(sel)
+            link(sub, at, "part_key", "part:", "hasPart")
+            link(sub, at, "supp_key", "supp:", "suppliedBy")
 
-        sel = m == "item"
-        if sel.any():
-            idx = np.flatnonzero(sel)
-            sub = batch.iloc[idx]
-            link(sub, idx, "part_key", "part:", "hasPart")
-            link(sub, idx, "supp_key", "supp:", "suppliedBy")
+        return pa.concat_tables(out)
 
-        return pd.concat(out, ignore_index=True)
+    def _quads(self, batch) -> pd.DataFrame:
+        if isinstance(batch, pd.DataFrame):
+            batch = pa.Table.from_pandas(batch, preserve_index=False)
+        return self._quads_arrow(batch).to_pandas()
 
     __call__ = _quads
 

@@ -47,6 +47,18 @@ def test_xsd_string_suppressed():
     assert t == '"x"'
 
 
+def test_xsd_string_literal_is_the_simple_literal():
+    """RDF 1.1: ``"a"^^xsd:string`` and ``"a"`` are one term, so the
+    dataset holds one quad."""
+    doc = (
+        '_:x <urn:p> "a" .\n'
+        '_:x <urn:p> "a"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+    )
+    quads = nquads.parse(doc)
+    assert quads[0] == quads[1]
+    assert canonicalize(quads) == '_:c14n0 <urn:p> "a" .\n'
+
+
 _lit = st.text(
     alphabet=st.characters(max_codepoint=0x2FFFF, exclude_categories=("Cs",)),
     max_size=40,

@@ -389,34 +389,42 @@ def test_run_kg_pipeline_end_to_end(ray_session, tmp_path):
     assert "<urn:conv:conv-0>" in text.split("\n", 40)[0] or "urn:e:order:0" in text.split("\n", 1)[0]
 
 
-def test_cli_canonicalize_and_issue(ray_session):
-    """CLI surface: canonicalize/issue must match the golden fixtures
-    byte-for-byte (run in-process; the CLI owns no session here)."""
+def test_cli_canonicalize_and_issue(tmp_path):
+    """CLI surface: ``canonicalize`` and ``issue`` print what the core
+    library returns for the same file, and the printed document is a
+    fixed point (run in-process; neither command starts Ray)."""
+    import contextlib
     import io
-    import json
-    import sys as _sys
 
     from rdf_canon_ray.__main__ import main
+    from rdf_canon_ray.core import canonicalize, nquads
+    from rdf_canon_ray.core.canon import issue
 
-    buf = io.StringIO()
-    old = _sys.stdout
-    _sys.stdout = buf
-    try:
-        rc = main(["canonicalize", "/root/reference/tests/rdfc10/test020-in.nq"])
-    finally:
-        _sys.stdout = old
-    assert rc == 0
-    golden = open("/root/reference/tests/rdfc10/test020-rdfc10.nq").read()
-    assert buf.getvalue() == golden
+    path = tmp_path / "in.nq"
+    path.write_text(
+        "_:e0 <http://example.com/#p> _:e1 .\n"
+        "_:e1 <http://example.com/#p> _:e2 .\n"
+        "_:e2 <http://example.com/#p> _:e0 .\n"
+        '_:e0 <http://example.com/#q> "x\\ty"@en <http://example.com/g> .\n'
+        '_:e3 <http://example.com/#r> "7"^^<http://www.w3.org/2001/XMLSchema#integer> _:e1 .\n',
+        encoding="utf-8",
+    )
+    quads = nquads.parse_file(str(path))
 
-    buf = io.StringIO()
-    _sys.stdout = buf
-    try:
-        rc = main(["issue", "/root/reference/tests/rdfc10/test020-in.nq"])
-    finally:
-        _sys.stdout = old
-    assert rc == 0
-    assert json.loads(buf.getvalue()) == {"e0": "c14n2", "e1": "c14n0", "e2": "c14n1"}
+    def run(*argv) -> str:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(argv)) == 0
+        return buf.getvalue()
+
+    for hash_name in ("sha256", "sha384"):
+        doc = run("canonicalize", str(path), "--hash", hash_name)
+        assert doc == canonicalize(quads, hash_name)
+        assert canonicalize(nquads.parse(doc), hash_name) == doc
+        assert doc.count("\n") == 5
+    labels = json.loads(run("issue", str(path)))
+    assert labels == issue(quads)
+    assert sorted(labels.values()) == [f"c14n{i}" for i in range(4)]
 
 
 def test_partitioned_linker_matches_broadcast(ray_session):
