@@ -48,7 +48,7 @@ def cmd_canonicalize(args) -> int:
         from .stages.canonicalize import canonicalize_graphs
 
         ds = read_nquads(args.input)
-        graphs = canonicalize_graphs(ds, hash_name=args.hash, structure=False)
+        graphs = canonicalize_graphs(ds, hash_name=args.hash)
         paths = write_canonical_nquads(graphs, args.out)
         print(f"{len(paths)} part files -> {args.out}", file=sys.stderr)
         return 0

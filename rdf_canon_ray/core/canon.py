@@ -4,7 +4,7 @@ Implements the same algorithm the reference implements in Rust
 (`/root/reference/src/canon.rs`; spec step numbers quoted below), as a
 pure library with no Ray dependency: one call canonicalizes one dataset
 (= one per-conversation subgraph in the distributed engine).  The
-distributed layer (``stages/canonicalize.py``) calls them after one
+distributed layer (``stages/canonicalize.py``) calls it after one
 bucketed exchange on the graph key (``shuffle.exchange_buckets``), once
 per graph of each exchanged block — two graphs never share state,
 exactly mirroring the reference's per-invocation
@@ -13,9 +13,11 @@ exactly mirroring the reference's per-invocation
 Every caller shares ONE kernel, ``canonicalize_templates``: it takes a
 dataset as serialization templates (``_quad_template``: the non-bnode
 parts pre-rendered, a ``None`` static marking a blank node) and runs
-dedup → H1DQ / HNDQ → render.  The flagship renders its templates
-columnar in Arrow; ``canonicalize_quads_with_map`` (and so
-``canonicalize``) is the adapter for lists of quad tuples.
+dedup → H1DQ / HNDQ → render.  Every Ray path renders its templates
+columnar from an Arrow quads table
+(``stages.canonicalize.canonicalize_quads``);
+``canonicalize_quads_with_map`` (and so ``canonicalize``) is the
+adapter for lists of quad tuples.
 
 Behavioral parity notes (each verified against the reference source):
 
@@ -148,8 +150,8 @@ def _quad_template(q: Quad) -> tuple:
     leading space (empty for the default graph).  Rendering is
     injective on the quads ``nquads.parse`` produces (it drops an
     ``xsd:string`` datatype, which serializes as none), so deduplicating
-    templates deduplicates quads.  The flagship renders the same tuples columnar
-    (``stages.canonicalize``)."""
+    templates deduplicates quads.  Every Ray path renders the same
+    tuples columnar (``stages.canonicalize._template_columns``)."""
     s_kind, s, p, o_kind, o, o_dt, o_lang, g_kind, g = q
     s_st = "<" + s + ">" if s_kind == IRI else None
     o_st = term_to_string(o_kind, o, o_dt, o_lang) if o_kind != BNODE else None
@@ -584,9 +586,9 @@ def canonicalize_quads_with_map(
     hndq_call_limit: Optional[int] = None,
 ) -> Tuple[str, Dict[str, str]]:
     """Canonical document plus the issued-identifiers map of a list of
-    quads: the generic adapter onto ``canonicalize_templates`` (it
-    serves ``canonicalize``, the generic quads-table path and kgbench's
-    replay)."""
+    quads: the adapter onto ``canonicalize_templates`` for quad tuples
+    (it serves ``canonicalize``, the CLI's single-dataset path and
+    kgbench's replay)."""
     return canonicalize_templates(_templates(quads), hash_name, hndq_call_limit)
 
 
@@ -596,7 +598,7 @@ def canonicalize_templates(
     hndq_call_limit: Optional[int] = None,
 ) -> Tuple[str, Dict[str, str]]:
     """The per-graph kernel: serialization templates of one dataset's
-    quads (``_quad_template``; the flagship renders them columnar) →
+    quads (``_quad_template``; Ray paths render them columnar) →
     dedup → H1DQ / HNDQ → canonical document plus the issued-identifiers
     map (the join key for cross-graph entity canonicalization)."""
     state = _State.of_templates(_dedup(templates), hash_name)

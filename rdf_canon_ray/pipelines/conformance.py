@@ -14,11 +14,14 @@ import json
 import os
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from ..core import nquads
 from ..stages.canonicalize import canonicalize_graphs
+from ..transcripts.extract import quads_table
 
 REF_TESTS = "/root/reference/tests"
 
@@ -29,34 +32,14 @@ def _load_manifest():
 
 
 def conformance_quads() -> tuple:
-    """All manifest inputs as one flat quads DataFrame + expectations."""
-    rows = {
-        k: []
-        for k in [
-            "graph_id",
-            "s_kind",
-            "s",
-            "p",
-            "o_kind",
-            "o",
-            "o_dt",
-            "o_lang",
-            "g_kind",
-            "g",
-        ]
-    }
+    """All manifest inputs as one ``QUADS_SCHEMA`` table + expectations."""
+    pairs = []
     expect = {}
     for e in _load_manifest():
         tid = e["id"].lstrip("#")
         alg = (e.get("hashAlgorithm") or "SHA256").lower().replace("-", "")
         quads = nquads.parse_file(os.path.join(REF_TESTS, e["action"]))
-        for q in quads:
-            rows["graph_id"].append(tid)
-            for name, v in zip(
-                ["s_kind", "s", "p", "o_kind", "o", "o_dt", "o_lang", "g_kind", "g"],
-                q,
-            ):
-                rows[name].append(v)
+        pairs.extend((tid, q) for q in quads)
         if e["type"] == "rdfc:RDFC10EvalTest":
             with open(os.path.join(REF_TESTS, e["result"]), encoding="utf-8") as f:
                 expect[tid] = {"kind": "eval", "golden": f.read(), "alg": alg,
@@ -72,13 +55,13 @@ def conformance_quads() -> tuple:
         else:
             expect[tid] = {"kind": "negative", "golden": "", "alg": alg,
                            "n_quads": len(quads)}
-    return pd.DataFrame(rows), expect
+    return quads_table(pairs), expect
 
 
 def run_conformance(sf_dir: str = "") -> rd.Dataset:
     """(sf_dir ignored — fixture-driven.) Returns one row per manifest
     entry: (test_id, kind, passed)."""
-    quads_df, expect = conformance_quads()
+    quads, expect = conformance_quads()
     # empty-input tests (test001) have no quads → handled driver-side
     expect_ref = ray.put(expect)
 
@@ -86,13 +69,10 @@ def run_conformance(sf_dir: str = "") -> rd.Dataset:
     sha384_ids = set(expect) - sha256_ids
     results = []
     for alg, ids in [("sha256", sha256_ids), ("sha384", sha384_ids)]:
-        sub = quads_df[quads_df["graph_id"].isin(ids)]
-        if not len(sub):
+        sub = quads.filter(pc.is_in(quads["graph_id"], pa.array(sorted(ids), pa.string())))
+        if not sub.num_rows:
             continue
-        ds = rd.from_pandas(sub)
-        out = canonicalize_graphs(
-            ds, hash_name=alg, num_buckets=8, structure=False
-        )
+        out = canonicalize_graphs(rd.from_arrow(sub), hash_name=alg, num_buckets=8)
 
         def check(batch: pd.DataFrame) -> pd.DataFrame:
             exp = ray.get(expect_ref)

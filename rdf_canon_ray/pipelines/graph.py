@@ -618,15 +618,6 @@ def _encoded_adjacency(
     return enc, nodes, deg
 
 
-def _pagerank_broadcast(
-    adj: rd.Dataset, deg_df: pd.DataFrame, iterations: int
-) -> rd.Dataset:
-    """Map-only iterations over the resident packed adjacency (int-coded
-    once; per-round work is numpy gather + segment sum)."""
-    enc, nodes, deg = _encoded_adjacency(adj, deg_df)
-    return _pagerank_iterate(enc, nodes, deg, iterations)
-
-
 # --- object-store tree reduce for resident-iteration vectors ---------
 #
 # Each resident iteration (pagerank step, BFS relaxation) emits one

@@ -52,6 +52,7 @@ from ..transcripts.extract import (
     EntityLinker,
     build_link_maps,
     extract_mentions_arrow,
+    quads_table,
 )
 from ..state import store
 from ..transcripts.gen import (
@@ -330,7 +331,7 @@ def canonical_graphs_dataset(
     RDFC-1.0 run post-shuffle in one kernel call per block
     (``canonicalize_transcripts``).  (The generic quads-table path is
     ``stages.canonicalize.canonicalize_graphs``, used by the N-Quads
-    source and tests.)
+    CLI, conformance and the stress corpora.)
 
     Above ``LINKER_BROADCAST_MAX`` dimension rows (or with
     ``force_partitioned_linker``) the mention surfaces resolve via
@@ -346,6 +347,7 @@ def canonical_graphs_dataset(
 
         return exchange_conversations(
             _resolved_mentions(sf_dir, transcripts),
+            "conv_id",
             link_resolved,
             default_buckets(),
         )
@@ -356,7 +358,8 @@ def canonical_graphs_dataset(
 
     # one wave: the exchange holds all its input before the P bucket tasks
     return planned(exchange_conversations(
-        _extract_input(sf_dir, transcripts), extract_and_link, default_buckets()
+        _extract_input(sf_dir, transcripts), "conv_id", extract_and_link,
+        default_buckets(),
     ))
 
 
@@ -634,25 +637,15 @@ def hard_graphs(sf_dir: str = "", n_graphs: int = 400) -> rd.Dataset:
     every graph). Deterministic; sf_dir unused. Returns per-graph status
     + label counts — all must canonicalize ok under the default call
     limit (cycle HNDQ cost is linear, unlike the quarantined clique)."""
-    import pandas as pd
+    from ..core.terms import BNODE, make_quad
 
-    from ..stages.canonicalize import canonicalize_graphs
-
-    rows = {k: [] for k in ["graph_id", "s_kind", "s", "p", "o_kind", "o", "o_dt", "o_lang"]}
-    for g in range(n_graphs):
-        n = 3 + (g % 6)  # cycle lengths 3..8
-        gid = f"cycle{n}-{g}"
-        for i in range(n):
-            rows["graph_id"].append(gid)
-            rows["s_kind"].append(1)
-            rows["s"].append(f"n{i}")
-            rows["p"].append("urn:rel:next")
-            rows["o_kind"].append(1)
-            rows["o"].append(f"n{(i + 1) % n}")
-            rows["o_dt"].append("")
-            rows["o_lang"].append("")
-    ds = rd.from_pandas(pd.DataFrame(rows))
-    return canonicalize_graphs(ds, num_buckets=16, structure=False)
+    cycles = [(f"cycle{3 + g % 6}-{g}", 3 + g % 6) for g in range(n_graphs)]  # lengths 3..8
+    quads = quads_table(
+        (gid, make_quad(BNODE, f"n{i}", "urn:rel:next", BNODE, f"n{(i + 1) % n}"))
+        for gid, n in cycles
+        for i in range(n)
+    )
+    return canonicalize_graphs(rd.from_arrow(quads), num_buckets=16)
 
 
 def run_kg_resumable(

@@ -4,8 +4,8 @@ The reference delegates N-Quads I/O to oxttl in its tests; here it is a
 first-class source/sink (SURVEY.md §2.4 "Sources / sinks").
 
 Reader: ``read_text`` (streaming, line-splittable) → vectorized parse in
-``map_batches`` → flat quads table (``graph_id`` = serialized graph term,
-"" for the default graph).
+``map_batches`` → ``QUADS_SCHEMA`` table (``graph_id`` = serialized graph
+term, "" for the default graph).
 
 Writer: canonical corpus emission must not depend on Ray's
 nondeterministic block order, so the graphs are sorted by ``graph_id``
@@ -27,27 +27,13 @@ import ray.data as rd
 from ..core import nquads as nq
 from ..core.terms import DEFAULT, IRI
 from ..state import metrics
-
-QUADS_SCHEMA = pa.schema(
-    [
-        ("graph_id", pa.string()),
-        ("s_kind", pa.uint8()),
-        ("s", pa.string()),
-        ("p", pa.string()),
-        ("o_kind", pa.uint8()),
-        ("o", pa.string()),
-        ("o_dt", pa.string()),
-        ("o_lang", pa.string()),
-        ("g_kind", pa.uint8()),
-        ("g", pa.string()),
-    ]
-)
+from ..transcripts.extract import quads_table
 
 
-def _parse_batch(batch: pd.DataFrame, lenient: bool = False) -> pd.DataFrame:
-    rows = {k: [] for k in QUADS_SCHEMA.names}
+def _parse_batch(batch: pa.Table, lenient: bool = False) -> pa.Table:
+    pairs = []
     n_bad = 0
-    for line in batch["text"]:
+    for line in batch["text"].to_pylist():
         if lenient:
             try:
                 q = nq.parse_line(line)
@@ -58,38 +44,25 @@ def _parse_batch(batch: pd.DataFrame, lenient: bool = False) -> pd.DataFrame:
             q = nq.parse_line(line)
         if q is None:
             continue
-        s_kind, s, p, o_kind, o, o_dt, o_lang, g_kind, g = q
+        g_kind, g = q[7], q[8]
         if g_kind == DEFAULT:
             gid = ""
         elif g_kind == IRI:
             gid = "<" + g + ">"
         else:
             gid = "_:" + g
-        rows["graph_id"].append(gid)
-        rows["s_kind"].append(s_kind)
-        rows["s"].append(s)
-        rows["p"].append(p)
-        rows["o_kind"].append(o_kind)
-        rows["o"].append(o)
-        rows["o_dt"].append(o_dt)
-        rows["o_lang"].append(o_lang)
-        rows["g_kind"].append(g_kind)
-        rows["g"].append(g)
+        pairs.append((gid, q))
     if n_bad:
         metrics.incr("nquads_malformed_lines", n_bad)
-    out = pd.DataFrame(rows)
-    out["s_kind"] = out["s_kind"].astype("uint8")
-    out["o_kind"] = out["o_kind"].astype("uint8")
-    out["g_kind"] = out["g_kind"].astype("uint8")
-    return out
+    return quads_table(pairs)
 
 
-def _parse_batch_lenient(batch: pd.DataFrame) -> pd.DataFrame:
+def _parse_batch_lenient(batch: pa.Table) -> pa.Table:
     return _parse_batch(batch, lenient=True)
 
 
 def read_nquads(paths: str | List[str], lenient: bool = False) -> rd.Dataset:
-    """N-Quads file(s) → flat quads Dataset.
+    """N-Quads file(s) → ``QUADS_SCHEMA`` Dataset.
 
     ``lenient=True`` is the dirty-ingest mode a web-scale crawl needs:
     malformed statement lines are SKIPPED and counted on the metrics
@@ -98,7 +71,7 @@ def read_nquads(paths: str | List[str], lenient: bool = False) -> rd.Dataset:
     behavior) raises on the first bad line."""
     return rd.read_text(paths).map_batches(
         _parse_batch_lenient if lenient else _parse_batch,
-        batch_format="pandas",
+        batch_format="pyarrow",
         batch_size=65536,
     )
 

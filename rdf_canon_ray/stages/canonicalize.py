@@ -1,36 +1,39 @@
 """Per-graph RDFC-1.0 canonicalization as a Ray Data grouped transform.
 
-The unit of work is one conversation subgraph (``graph_id``); the RDFC-1.0
-state is function-local per group, mirroring the reference's
+The unit of work is one subgraph (``graph_id``: a conversation on the
+KG paths, a dataset or named graph on the generic ones); the RDFC-1.0
+state is function-local per graph, mirroring the reference's
 per-invocation ``CanonicalizationState`` (`/root/reference/src/canon.rs:208`)
 — two graphs never share issuer state, which is exactly why this operator
 is embarrassingly parallel.
 
-``canonicalize_graphs(quads_ds)`` hash-buckets the quads by ``graph_id``
-and runs one bucketed exchange (``stages.shuffle.exchange_buckets``) —
-the one all-to-all shuffle of the KG pipeline; ``exchange_conversations``
-is the flagship's fused form of it: transcript rows cross the exchange
-and ``canonicalize_transcripts`` (extract → link → RDFC-1.0) runs once
-per block.  Graphs whose HNDQ cost exceeds the call limit are routed to
-``status="quarantined"`` instead of failing the job (the reference's
-``HndqCallLimitExceeded`` made recoverable,
+Every Ray path reaches RDFC-1.0 through ONE kernel over ONE quad
+representation: ``canonicalize_quads`` takes a ``QUADS_SCHEMA`` Arrow
+table, renders it to serialization templates per distinct string
+(``_template_columns``: IRIs, literals and graph names) and hands each
+graph's template slice to ``core.canon.canonicalize_templates``, so the
+data stays columnar until that one crossing into Python.  The KG paths
+wrap it (``canonicalize_linked``) to add the conversation-structure
+quads, built columnar from the ``idx`` rows (``structure_quads``).
+
+``exchange_conversations`` is the one exchange: rows are bucketed by a
+key and exchanged into one block per core, and a kernel runs once per
+block.  ``canonicalize_graphs`` runs the generic kernel on it keyed by
+``graph_id`` (N-Quads corpora, conformance, the HNDQ stress corpus);
+the flagship runs ``canonicalize_transcripts`` (extract → link →
+RDFC-1.0) keyed by ``conv_id``.  Graphs whose HNDQ cost exceeds the
+call limit are routed to ``status="quarantined"`` instead of failing
+the job (the reference's ``HndqCallLimitExceeded`` made recoverable,
 `/root/reference/src/error.rs:14-15`).
 
-The flagship kernel call stays columnar until ONE crossing into
-Python: the linker emits one Arrow quads table, the
-conversation-structure quads are built from its ``idx`` rows in Arrow
-(``structure_quads``), the quads are rendered to serialization
-templates per distinct string (``_template_columns``), and each graph's
-template slice goes to ``core.canon.canonicalize_templates``.  The
-9-tuple helpers (``iter_graph_tuples``, ``add_structure_quads``,
-``canonicalize_one``) serve the generic quads-table path
-(``canonicalize_graphs``) and kgbench's single-process replay.
+``iter_graph_tuples`` and ``add_structure_quads`` are the 9-tuple forms
+of the same steps, kept for kgbench's single-process replay and as the
+tests' reference.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +45,6 @@ import ray.data as rd
 from ..core.canon import (
     CanonicalizationError,
     HndqCallLimitExceeded,
-    _quad_template,
     canonicalize_templates,
 )
 from ..core.terms import BNODE, DEFAULT, IRI, LITERAL, term_to_string
@@ -53,7 +55,7 @@ from ..transcripts.extract import (
 )
 from ..util import stage_instance
 
-# canonical-graph row schema (canonicalize_one's dict): declared
+# canonical-graph row schema (``_graph_row``'s dict): declared
 # explicitly so empty buckets never infer null-typed columns
 _GRAPH_SCHEMA = pa.schema(
     [
@@ -76,37 +78,24 @@ SESSION_LABEL = "session"
 
 def iter_graph_tuples(df: pd.DataFrame):
     """Yield ``(graph_id, quad_tuples)`` per graph from a flat quads
-    DataFrame — column arrays are materialized ONCE for the whole frame
-    and sliced per graph (pandas per-group ``__getitem__`` was ~36% of
-    kernel wall time).  Serves the generic quads-table path and
-    kgbench's replay; the flagship renders templates columnar."""
-    import numpy as np
-
+    DataFrame (``QUADS_SCHEMA`` columns) — column arrays are
+    materialized ONCE for the whole frame and sliced per graph.  Kept
+    for kgbench's replay and as the tests' reference; every Ray path
+    renders templates columnar (``canonicalize_quads``)."""
     if len(df) == 0:
         return
     order = np.argsort(df["graph_id"].to_numpy(), kind="stable")
     gids = df["graph_id"].to_numpy()[order]
-    has_g = "g_kind" in df.columns
-    names = ["s_kind", "s", "p", "o_kind", "o", "o_dt", "o_lang"]
-    if has_g:
-        names += ["g_kind", "g"]
+    names = ["s_kind", "s", "p", "o_kind", "o", "o_dt", "o_lang", "g_kind", "g"]
     cols = [df[c].to_numpy()[order] for c in names]
     bounds = np.flatnonzero(gids[1:] != gids[:-1]) + 1
     starts = np.concatenate([[0], bounds])
     ends = np.concatenate([bounds, [len(gids)]])
     for a, b in zip(starts, ends):
-        if has_g:
-            tuples = [
-                (int(sk), s, p, int(ok), o, dt or "", lang or "", int(gk), g or "")
-                for sk, s, p, ok, o, dt, lang, gk, g in zip(
-                    *(c[a:b] for c in cols)
-                )
-            ]
-        else:
-            tuples = [
-                (int(sk), s, p, int(ok), o, dt or "", lang or "", DEFAULT, "")
-                for sk, s, p, ok, o, dt, lang in zip(*(c[a:b] for c in cols))
-            ]
+        tuples = [
+            (int(sk), s, p, int(ok), o, dt or "", lang or "", int(gk), g or "")
+            for sk, s, p, ok, o, dt, lang, gk, g in zip(*(c[a:b] for c in cols))
+        ]
         yield gids[a], tuples
 
 
@@ -118,8 +107,8 @@ def add_structure_quads(quads: list, conv_id: str) -> list:
     of the assembly invariant (ties broken by the text-hash label, and
     duplicate turns have already collapsed to one node under set
     semantics).  ``structure_quads`` builds the same quads columnar for
-    the flagship; this 9-tuple form serves ``canonicalize_graphs`` and
-    kgbench's replay.
+    every Ray path; this 9-tuple form is kept for kgbench's replay and
+    as the tests' reference.
     """
     turns = sorted(
         {
@@ -139,26 +128,6 @@ def add_structure_quads(quads: list, conv_id: str) -> list:
     for (_, a), (_, b) in zip(turns, turns[1:]):
         extra.append((BNODE, a, REL_NEXT, BNODE, b, "", "", DEFAULT, ""))
     return quads + extra
-
-
-def canonicalize_one(
-    graph_id: str,
-    quads: list,
-    hash_name: str = "sha256",
-    hndq_call_limit: Optional[int] = None,
-    structure: bool = False,
-) -> dict:
-    """Canonicalize one subgraph → one result row (dict).
-
-    ``structure=True`` adds the KG conversation-structure quads (session
-    hub + turn chain) before canonicalization; generic RDF datasets pass
-    ``False`` and are canonicalized exactly as given.  ``quads`` is a
-    list of core 9-tuples (``iter_graph_tuples``)."""
-    if structure:
-        quads = add_structure_quads(quads, graph_id)
-    return _graph_row(
-        graph_id, [_quad_template(q) for q in quads], hash_name, hndq_call_limit
-    )
 
 
 def _graph_row(
@@ -204,29 +173,20 @@ def canonicalize_graphs(
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
     num_buckets: int = 64,
-    structure: bool = False,
 ) -> rd.Dataset:
-    """Generic per-graph RDFC-1.0 canonicalization shuffle.
-
-    Graphs are hash-bucketed (``num_buckets`` ≈ 4× total cores at scale)
-    and exchanged into one block per core (``bucketed_map_groups``);
-    each bucket's graphs go to the RDFC-1.0 kernel one by one
-    (``iter_graph_tuples``).  Skewed/poisoned graphs are bounded by
+    """Generic per-graph RDFC-1.0 canonicalization of a ``QUADS_SCHEMA``
+    dataset: graphs are hash-bucketed by ``graph_id`` (``num_buckets``
+    ≈ 4× total cores at scale) and exchanged into one block per core
+    (``exchange_conversations``), and ``canonicalize_quads`` runs once
+    per block.  Graphs are canonicalized exactly as given (named graphs
+    honored, no structure quads).  Skewed/poisoned graphs are bounded by
     ``hndq_call_limit`` and land in the quarantine status instead of
-    stalling the stage.
-    """
-    from .shuffle import bucketed_map_groups
+    stalling the stage."""
 
-    def run_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        rows = [
-            canonicalize_one(gid, tuples, hash_name, hndq_call_limit, structure)
-            for gid, tuples in iter_graph_tuples(bucket)
-        ]
-        return pd.DataFrame(rows)
+    def kernel(block: pa.Table) -> pa.Table:
+        return canonicalize_quads(block, hash_name, hndq_call_limit)
 
-    return bucketed_map_groups(
-        quads_ds, ["graph_id"], run_bucket, num_buckets=num_buckets
-    )
+    return exchange_conversations(quads_ds, "graph_id", kernel, num_buckets)
 
 
 def structure_quads(quads: pa.Table) -> pa.Table:
@@ -293,18 +253,35 @@ def _literals(quads: pa.Table, rows: np.ndarray, o: np.ndarray, o_values) -> np.
     return rendered[back]
 
 
+def _graph_names(quads: pa.Table) -> tuple:
+    """The graph-slot template parts ``(g_static, g)`` of every row:
+    rendered once per distinct ``(g_kind, g)`` ("" for the default
+    graph, `` <g>`` for an IRI, None for a bnode slot)."""
+    g, g_values = _codes(quads["g"])
+    g_kind = quads["g_kind"].to_numpy()
+    _, first, back = np.unique(g * 4 + g_kind, return_index=True, return_inverse=True)
+    names = _objects(g_values)[g[first]]
+    rendered = np.empty(len(first), dtype=object)
+    rendered[:] = [
+        "" if k == DEFAULT else " <" + v + ">" if k == IRI else None
+        for k, v in zip(g_kind[first], names)
+    ]
+    return rendered[back], names[back]
+
+
 def _template_columns(quads: pa.Table) -> tuple:
-    """The serialization templates of a ``QUADS_SCHEMA`` table (non-null
-    columns, every quad in the default graph) as numpy object columns
-    ``s_static, s, mid, o_static, o`` (``_quad_template``; a None
+    """The serialization templates of a ``QUADS_SCHEMA`` table
+    (non-null columns) as numpy object columns ``s_static, s, mid,
+    o_static, o, g_static, g`` (``core.canon._quad_template``; a None
     static is a bnode slot), rows sorted stably by ``graph_id``, plus
     the sorted graph ids and each row's graph number.
 
     Each string column crosses once per DISTINCT value: it is
     dictionary-encoded, IRI brackets and predicates are rendered over
     the dictionary with Arrow concatenation, literals with
-    ``term_to_string``, and rows take their objects from it, so equal
-    strings are one Python object (its hash is computed once)."""
+    ``term_to_string`` and graph names per distinct ``(g_kind, g)``,
+    and rows take their objects from it, so equal strings are one
+    Python object (its hash is computed once)."""
     g, g_values = _codes(quads["graph_id"])
     by_name = pc.sort_indices(g_values)
     rank = np.empty(len(g_values), np.int64)
@@ -321,11 +298,37 @@ def _template_columns(quads: pa.Table) -> tuple:
     lit = np.flatnonzero(o_kind == LITERAL)
     if len(lit):
         o_st[lit] = _literals(quads, lit, o[lit], o_obj)
-    cols = [s_st, _objects(s_values)[s], _wrap(p_values, " <", "> ")[p], o_st, o_obj[o]]
+    cols = [s_st, _objects(s_values)[s], _wrap(p_values, " <", "> ")[p], o_st, o_obj[o],
+            *_graph_names(quads)]
     return (
         _objects(g_values.take(by_name)),
         key[order],
         [c[order] for c in cols],
+    )
+
+
+def canonicalize_quads(
+    quads: pa.Table,
+    hash_name: str = "sha256",
+    hndq_call_limit: Optional[int] = None,
+) -> pa.Table:
+    """The one kernel of every Ray path: a ``QUADS_SCHEMA`` table →
+    serialization templates (``_template_columns``) → the template
+    kernel (``core.canon.canonicalize_templates``) on each graph's
+    slice → ``_GRAPH_SCHEMA`` rows in ``graph_id`` order."""
+    if quads.num_rows == 0:
+        return _GRAPH_SCHEMA.empty_table()
+    gids, key, cols = _template_columns(quads)
+    bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [len(key)]])
+    rows = [
+        _graph_row(gid, list(zip(*(c[a:b] for c in cols))), hash_name, hndq_call_limit)
+        for gid, a, b in zip(gids, starts, ends)
+    ]
+    return pa.table(
+        {c: [r[c] for r in rows] for c in _GRAPH_SCHEMA.names},
+        schema=_GRAPH_SCHEMA,
     )
 
 
@@ -334,31 +337,12 @@ def canonicalize_linked(
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
 ) -> pa.Table:
-    """A linker quads table (``EntityLinker._quads_arrow``) → its
-    conversation-structure quads (``structure_quads``) → serialization
-    templates (``_template_columns``) → the template kernel
-    (``core.canon.canonicalize_templates``) on each graph's slice →
-    ``_GRAPH_SCHEMA`` rows in ``graph_id`` order."""
-    if quads.num_rows == 0:
-        return _GRAPH_SCHEMA.empty_table()
-    quads = pa.concat_tables([quads, structure_quads(quads)])
-    gids, key, (s_st, s, mid, o_st, o) = _template_columns(quads)
-    bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(key)]])
-    default = repeat("")
-    rows = [
-        _graph_row(
-            gid,
-            list(zip(s_st[a:b], s[a:b], mid[a:b], o_st[a:b], o[a:b], default, default)),
-            hash_name,
-            hndq_call_limit,
-        )
-        for gid, a, b in zip(gids, starts, ends)
-    ]
-    return pa.table(
-        {c: [r[c] for r in rows] for c in _GRAPH_SCHEMA.names},
-        schema=_GRAPH_SCHEMA,
+    """The KG wrapper of ``canonicalize_quads``: a table of conversation
+    quads (``EntityLinker._quads_arrow``, or the skewed corpus's turn
+    quads) plus their conversation-structure quads
+    (``structure_quads``) → ``_GRAPH_SCHEMA`` rows."""
+    return canonicalize_quads(
+        pa.concat_tables([quads, structure_quads(quads)]), hash_name, hndq_call_limit
     )
 
 
@@ -368,7 +352,7 @@ def canonicalize_bucket(
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
 ) -> pa.Table:
-    """Mentions (Arrow or pandas) holding whole conversations → link
+    """Arrow mentions holding whole conversations → link
     (``EntityLinker._quads_arrow``) → ``canonicalize_linked`` → one row
     per graph.  Fed by ``canonicalize_transcripts`` on every
     transcript-fed path, and directly by the partitioned-linker
@@ -378,8 +362,6 @@ def canonicalize_bucket(
     documents are ~0.5 GB of strings at sf0.1 — Arrow blocks store and
     ship them zero-copy through the object store, where pandas object
     columns would pickle (measured ~0.7 s off the sf0.1 headline)."""
-    if isinstance(mentions, pd.DataFrame):
-        mentions = pa.Table.from_pandas(mentions, preserve_index=False)
     linker = stage_instance(EntityLinker, maps_ref=maps_ref)
     return canonicalize_linked(linker._quads_arrow(mentions), hash_name, hndq_call_limit)
 
@@ -404,16 +386,17 @@ def canonicalize_transcripts(
 
 def exchange_conversations(
     ds: rd.Dataset,
+    key: str,
     kernel: Callable[[pa.Table], pa.Table],
     num_buckets: int,
 ) -> rd.Dataset:
-    """The shuffle flagship's exchange: rows keyed by ``conv_id``
-    (transcript rows, or resolved mentions on the partitioned-linker
-    path) are bucketed by conversation and exchanged into one block per
-    core, and ``kernel`` runs ONCE per Arrow block over all of its
-    conversations.  A conversation never straddles a block, so the
-    kernel's per-call fixed cost (linker frame builds, Arrow out) is
-    paid per core, not per bucket.
+    """The one canonicalization exchange: rows are bucketed by ``key``
+    (``conv_id`` on the flagship: transcript rows, or resolved mentions
+    on the partitioned-linker path; ``graph_id`` for quads tables) and
+    exchanged into one block per core, and ``kernel`` runs ONCE per
+    Arrow block over all of its graphs.  A graph never straddles a
+    block, so the kernel's per-call fixed cost (linker frame builds,
+    Arrow out) is paid per core, not per bucket.
 
     On the broadcast-linker path the exchange carries transcript rows
     (``_EXTRACT_COLS`` only): the same bytes as the mentions extracted
@@ -426,9 +409,9 @@ def exchange_conversations(
     def run_block(block: pa.Table) -> pa.Table:
         if block.num_rows == 0:
             return _GRAPH_SCHEMA.empty_table()
-        return kernel(block)
+        return kernel(block.drop_columns(["_bucket"]))
 
-    bucketed = with_buckets(ds, ["conv_id"], num_buckets)
+    bucketed = with_buckets(ds, [key], num_buckets)
     return exchange_buckets(bucketed, num_buckets).map_batches(
         run_block, batch_format="pyarrow", batch_size=None
     )

@@ -97,47 +97,6 @@ def exact_dedup(
     )
 
 
-def run_exact_dedup_resumable(
-    ds: rd.Dataset,
-    output_root: str,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    num_buckets: int = 32,
-    input_tag: str = "",
-):
-    """Exact dedup with resumable partitioned output: each content-hash
-    bucket's keep-table lands in an atomic ``bucket=N/`` parquet
-    partition with lineage (same layout as the flagship's
-    ``state.lineage``), so a crashed corpus-scale dedup rerun skips
-    finished partitions at the input filter.  Returns the run summary.
-    """
-    import functools
-
-    from ..state.lineage import resumable_bucket_run
-
-    hashed = ds.map_batches(
-        functools.partial(_content_hash_batch, id_col=id_col, text_col=text_col),
-        batch_format="pandas",
-        batch_size=8192,
-    )
-
-    def bucket_fn(bucket: pd.DataFrame) -> pd.DataFrame:
-        return (
-            bucket.groupby("content_hash", sort=False)
-            .agg(**{id_col: (id_col, "min"), "n_dups": ("n_dups", "sum")})
-            .reset_index()
-        )
-
-    return resumable_bucket_run(
-        hashed,
-        ["content_hash"],
-        bucket_fn,
-        output_root,
-        num_buckets=num_buckets,
-        input_tag=input_tag,
-    )
-
-
 # -------------------------------------------------------------- minhash
 def _shingle_set(text: str, k: int, mode: str) -> set:
     if mode == "word":

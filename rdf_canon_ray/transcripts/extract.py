@@ -14,11 +14,14 @@ batches — one kernel of each, shared by every flagship path.
   Arrow (``_quads_arrow``, the flagship kernel's input), the triples,
   the entity-mention projection or a scored link table.
 
-The quads table (``QUADS_SCHEMA``) uses the flat term layout from
-``rdf_canon_ray.core.terms`` plus a ``graph_id`` partition key; graph name
-is always the default graph (one RDF graph per conversation).  The
-pandas forms (``extract_mentions_batch``, ``EntityLinker.__call__``)
-serve kgbench's single-process replay.
+The quads table (``QUADS_SCHEMA``) is the one quad representation of
+every Ray path: the flat 9-tuple term layout of
+``rdf_canon_ray.core.terms`` plus a ``graph_id`` partition key.  The
+linker's quads sit in the default graph (one RDF graph per
+conversation, ``quad_rows``); the N-Quads source, conformance and the
+stress corpora build theirs with ``quads_table``.  The pandas forms
+(``extract_mentions_batch``, ``EntityLinker.__call__``) serve kgbench's
+single-process replay.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..core.terms import BNODE, IRI, LITERAL
+from ..core.terms import BNODE, DEFAULT, IRI, LITERAL
 
 REL = "urn:rel:"
 ENT = "urn:e:"
@@ -295,15 +298,17 @@ def resolve_mentions_partitioned(
     return out
 
 
-QUAD_COLS = ["graph_id", "s_kind", "s", "p", "o_kind", "o", "o_dt", "o_lang"]
+QUAD_COLS = ["graph_id", "s_kind", "s", "p", "o_kind", "o", "o_dt", "o_lang",
+             "g_kind", "g"]
 QUADS_SCHEMA = pa.schema(
     [(c, pa.uint8() if c.endswith("_kind") else pa.string()) for c in QUAD_COLS]
 )
 
 
 def quad_rows(graph_id, s_kind: int, s, p: str, o_kind: int, o, o_dt: str = ""):
-    """``QUADS_SCHEMA`` rows, one per ``graph_id``: ``s`` and ``o`` are
-    Arrow columns or one string for every row; the rest is constant."""
+    """``QUADS_SCHEMA`` rows in the default graph, one per ``graph_id``:
+    ``s`` and ``o`` are Arrow columns or one string for every row; the
+    rest is constant."""
     n = len(graph_id)
 
     def col(v, t=pa.string()):
@@ -313,7 +318,18 @@ def quad_rows(graph_id, s_kind: int, s, p: str, o_kind: int, o, o_dt: str = ""):
 
     return pa.table(
         [graph_id, col(s_kind, pa.uint8()), col(s), col(p),
-         col(o_kind, pa.uint8()), col(o), col(o_dt), col("")],
+         col(o_kind, pa.uint8()), col(o), col(o_dt), col(""),
+         col(DEFAULT, pa.uint8()), col("")],
+        schema=QUADS_SCHEMA,
+    )
+
+
+def quads_table(pairs) -> pa.Table:
+    """``QUADS_SCHEMA`` table of ``(graph_id, Quad)`` pairs, one row per
+    pair in their order."""
+    cols = list(zip(*((gid, *q) for gid, q in pairs))) or [()] * len(QUAD_COLS)
+    return pa.table(
+        [pa.array(c, t) for c, t in zip(cols, QUADS_SCHEMA.types)],
         schema=QUADS_SCHEMA,
     )
 

@@ -18,7 +18,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .extract import turn_labels
+from ..core.terms import BNODE, IRI, LITERAL
+from .extract import XSD_INT, quad_rows, turn_labels
 
 _UNICODE_SPICE = [
     "",
@@ -72,39 +73,25 @@ def build_skewed_transcripts(
     )
 
 
-def skewed_quads(batch: pd.DataFrame) -> pd.DataFrame:
-    """Extraction for the skewed corpus: each turn becomes a turn bnode
-    carrying role, idx and its full text as a literal (escaping torture),
-    plus a mention link for the ``ent-N`` pattern."""
-    labels = turn_labels(batch["turn_idx"], batch["text"])
+def skewed_quads(batch: pd.DataFrame) -> pa.Table:
+    """Extraction for the skewed corpus (``QUADS_SCHEMA`` rows): each
+    turn becomes a turn bnode carrying role, idx and its full text as a
+    literal (escaping torture), plus a mention link for the ``ent-N``
+    pattern."""
+    labels = pa.array(turn_labels(batch["turn_idx"], batch["text"]), pa.string())
     ent = batch["text"].str.extract(r"mentions entity (ent-\d+)")[0]
-    n = len(batch)
-    conv = batch["conv_id"].to_numpy(dtype=object)
+    conv = pa.array(batch["conv_id"], pa.string())
 
-    def rows(s_kind, s, p, o_kind, o, o_dt=""):
-        return pd.DataFrame(
-            {
-                "graph_id": conv,
-                "s_kind": np.full(n, s_kind, np.uint8),
-                "s": s,
-                "p": np.full(n, p, dtype=object),
-                "o_kind": np.full(n, o_kind, np.uint8),
-                "o": o,
-                "o_dt": np.full(n, o_dt, dtype=object),
-                "o_lang": np.full(n, "", dtype=object),
-            }
-        )
+    def col(values):
+        return pa.array(values, pa.string())
 
-    out = [
-        rows(1, labels, "urn:rel:role", 2, batch["role"].to_numpy(dtype=object)),
-        rows(1, labels, "urn:rel:idx", 2,
-             batch["turn_idx"].astype(str).to_numpy(dtype=object),
-             "http://www.w3.org/2001/XMLSchema#integer"),
-        rows(1, labels, "urn:rel:text", 2, batch["text"].to_numpy(dtype=object)),
-        rows(1, labels, "urn:rel:mentions", 0,
-             ("urn:e:" + ent).to_numpy(dtype=object)),
-    ]
-    return pd.concat(out, ignore_index=True)
+    return pa.concat_tables([
+        quad_rows(conv, BNODE, labels, "urn:rel:role", LITERAL, col(batch["role"])),
+        quad_rows(conv, BNODE, labels, "urn:rel:idx", LITERAL,
+                  col(batch["turn_idx"].astype(str)), XSD_INT),
+        quad_rows(conv, BNODE, labels, "urn:rel:text", LITERAL, col(batch["text"])),
+        quad_rows(conv, BNODE, labels, "urn:rel:mentions", IRI, col("urn:e:" + ent)),
+    ])
 
 
 def skewed_lengths_parquet(
@@ -153,10 +140,12 @@ def skewed_canonical_sizes(sf_dir: str = "") -> rd.Dataset:
 
 def skewed_canonical_graphs(sf_dir: str = "", num_buckets: int = 32) -> rd.Dataset:
     """(sf_dir unused — fully synthetic.) Canonical graphs for the
-    skewed corpus through the generic quads shuffle path."""
-    from ..stages.canonicalize import canonicalize_graphs
+    skewed corpus: its turn quads are KG conversation quads, so each
+    exchanged block runs the KG kernel (``canonicalize_linked``: the
+    structure quads, then RDFC-1.0)."""
+    from ..stages.canonicalize import canonicalize_linked, exchange_conversations
 
     df = build_skewed_transcripts()
     ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
     quads = ds.map_batches(skewed_quads, batch_format="pandas", batch_size=16384)
-    return canonicalize_graphs(quads, num_buckets=num_buckets, structure=True)
+    return exchange_conversations(quads, "graph_id", canonicalize_linked, num_buckets)

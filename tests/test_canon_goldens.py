@@ -14,6 +14,11 @@ else on a checkout without that suite does:
 * unions of two cycles, directed complete bipartite graphs K(a,b), and
   ladders.
 
+Both entries to the kernel must match: the quad-tuple adapter
+(``canonicalize_quads_with_map``) and the Arrow quads kernel
+(``stages.canonicalize.canonicalize_quads``), which renders the same
+templates columnar.
+
 ``GOLDEN`` holds, per graph and per hash function (sha256, sha384), the
 first 16 hex digits of the sha256 of the canonical document followed by
 its label map (JSON, sorted keys).  It was generated from the kernel
@@ -29,6 +34,8 @@ import pytest
 
 from rdf_canon_ray.core import BNODE, make_quad
 from rdf_canon_ray.core.canon import canonicalize_quads_with_map
+from rdf_canon_ray.stages.canonicalize import canonicalize_quads
+from rdf_canon_ray.transcripts.extract import quads_table
 
 NEXT = "urn:p:next"
 RUNG = "urn:p:rung"
@@ -80,6 +87,15 @@ HASHES = ["sha256", "sha384"]
 def _digest(quads, hash_name: str) -> str:
     doc, labels = canonicalize_quads_with_map(quads, hash_name=hash_name)
     blob = doc + json.dumps(labels, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _arrow_digest(quads, hash_name: str) -> str:
+    """The same digest through the Arrow quads kernel every Ray path
+    runs (``canonicalize_quads`` over a ``QUADS_SCHEMA`` table)."""
+    (row,) = canonicalize_quads(quads_table(("g", q) for q in quads), hash_name).to_pylist()
+    assert row["status"] == "ok" and row["n_quads"] == len(quads)
+    blob = row["canon_nquads"] + row["label_map"]
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -166,4 +182,10 @@ def test_golden_covers_the_corpus():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_canonical_document_and_labels_match_golden(name):
     got = [_digest(CORPUS[name], h) for h in HASHES]
+    assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_arrow_quads_kernel_matches_golden(name):
+    got = [_arrow_digest(CORPUS[name], h) for h in HASHES]
     assert got == GOLDEN[name]

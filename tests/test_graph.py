@@ -27,7 +27,7 @@ def test_pagerank_star_graph_hand_computed(ray_session):
         {"node": ["c", "l1", "l2", "l3"], "deg": np.array([3, 1, 1, 1])}
     )
     out = (
-        graph._pagerank_broadcast(adj, deg_df, iterations=2)
+        graph._pagerank_iterate(*graph._encoded_adjacency(adj, deg_df), 2)
         .to_pandas()
         .set_index("entity_iri")["rank"]
     )

@@ -150,7 +150,7 @@ def test_zero_row_mentions(maps):
     assert len(q) == 0 and list(q.columns) == QUAD_COLS
     for emit in (linker._triples_arrow, linker._links_arrow, linker._mention_rows_arrow):
         assert emit(_arrow(empty)).num_rows == 0
-    out = canonicalize_bucket(empty, maps)
+    out = canonicalize_bucket(_arrow(empty), maps)
     assert out.num_rows == 0 and out.schema == _GRAPH_SCHEMA
 
 
@@ -168,8 +168,8 @@ def test_zero_row_part_file(maps, tmp_path):
 
 
 def test_canonicalize_bucket_both_resolutions_agree(maps):
-    a = canonicalize_bucket(_mentions(), maps)
-    b = canonicalize_bucket(_pre_resolved(), {})
+    a = canonicalize_bucket(_arrow(_mentions()), maps)
+    b = canonicalize_bucket(_arrow(_pre_resolved()), {})
     assert a.schema == _GRAPH_SCHEMA and a.num_rows == 2
     assert a.equals(b)
     assert set(a["status"].to_pylist()) == {"ok"}

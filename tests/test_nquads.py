@@ -121,12 +121,13 @@ def test_crlf_and_cr_line_endings():
 
 def test_n_bnodes_counts_graph_name_bnodes():
     from rdf_canon_ray.core.terms import BNODE, IRI, LITERAL
-    from rdf_canon_ray.stages.canonicalize import canonicalize_one
+    from rdf_canon_ray.stages.canonicalize import canonicalize_quads
+    from rdf_canon_ray.transcripts.extract import quads_table
 
     quads = [
         (BNODE, "b0", "urn:p", LITERAL, "v", "", "", BNODE, "g0"),
     ]
-    row = canonicalize_one("g", quads)
+    (row,) = canonicalize_quads(quads_table(("g", q) for q in quads)).to_pylist()
     assert row["n_bnodes"] == 2  # subject bnode + graph-name bnode
     assert row["status"] == "ok"
 

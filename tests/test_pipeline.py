@@ -2,7 +2,6 @@
 
 import json
 
-import pandas as pd
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -315,8 +314,9 @@ def test_quarantine_poison_graph(ray_session):
     """A poison clique graph is quarantined; healthy graphs still pass."""
     import ray.data as rd
 
-    from rdf_canon_ray.core import BNODE, make_quad
+    from rdf_canon_ray.core import BNODE, IRI, make_quad
     from rdf_canon_ray.stages.canonicalize import canonicalize_graphs
+    from rdf_canon_ray.transcripts.extract import quads_table
 
     # a directed K8 over blank nodes: its HNDQ search overruns the call
     # limit (tests/test_canon_properties.py pins K8 raising on its own)
@@ -326,32 +326,11 @@ def test_quarantine_poison_graph(ray_session):
         for j in range(8)
         if i != j
     ]
-    rows = [
-        {
-            "graph_id": "poison",
-            "s_kind": q[0],
-            "s": q[1],
-            "p": q[2],
-            "o_kind": q[3],
-            "o": q[4],
-            "o_dt": q[5],
-            "o_lang": q[6],
-        }
-        for q in clique
-    ]
-    rows.append(
-        {
-            "graph_id": "healthy",
-            "s_kind": 0,
-            "s": "urn:s",
-            "p": "urn:p",
-            "o_kind": 1,
-            "o": "x",
-            "o_dt": "",
-            "o_lang": "",
-        }
+    quads = quads_table(
+        [("poison", q) for q in clique]
+        + [("healthy", make_quad(IRI, "urn:s", "urn:p", BNODE, "x"))]
     )
-    ds = rd.from_pandas(pd.DataFrame(rows))
+    ds = rd.from_arrow(quads)
     out = canonicalize_graphs(ds, num_buckets=4).to_pandas()
     by = out.set_index("graph_id")
     assert by.loc["poison", "status"] == "quarantined"
@@ -425,6 +404,49 @@ def test_cli_canonicalize_and_issue(tmp_path):
     labels = json.loads(run("issue", str(path)))
     assert labels == issue(quads)
     assert sorted(labels.values()) == [f"c14n{i}" for i in range(4)]
+
+
+def test_cli_canonicalize_out_writes_one_document_per_graph(ray_session, tmp_path):
+    """``canonicalize IN.nq --out DIR`` (read_nquads → canonicalize_graphs
+    → write_canonical_nquads): the part files, read in ``_index.json``
+    order, hold per ``graph_id`` in key order what ``core.canonicalize``
+    returns for that graph's quads."""
+    import contextlib
+    import io
+    import os
+
+    from rdf_canon_ray.__main__ import main
+    from rdf_canon_ray.core import canonicalize, nquads
+    from rdf_canon_ray.core.terms import DEFAULT, IRI
+
+    path = tmp_path / "in.nq"
+    path.write_text(
+        "_:a <urn:p> _:b .\n"
+        "_:b <urn:p> _:a .\n"
+        '_:a <urn:label> "zero"@en .\n'
+        "_:e0 <urn:next> _:e1 <urn:g1> .\n"
+        '_:e1 <urn:size> "2"^^<http://www.w3.org/2001/XMLSchema#integer> <urn:g1> .\n'
+        '_:e0 <urn:text> "tab\\there \\"q\\" \\u0001 \\U0001F680" <urn:g1> .\n'
+        "_:x <urn:p> <urn:o> _:g .\n"
+        "_:x <urn:p> _:y _:g .\n",
+        encoding="utf-8",
+    )
+    graphs = {}
+    for q in nquads.parse_file(str(path)):
+        gid = "" if q[7] == DEFAULT else f"<{q[8]}>" if q[7] == IRI else f"_:{q[8]}"
+        graphs.setdefault(gid, []).append(q)
+    assert sorted(graphs) == ["", "<urn:g1>", "_:g"]
+
+    out = tmp_path / "corpus"
+    for hash_name in ("sha256", "sha384"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["canonicalize", str(path), "--hash", hash_name,
+                         "--out", str(out / hash_name)]) == 0
+        parts = json.load(open(out / hash_name / "_index.json"))["parts"]
+        got = "".join(
+            open(os.path.join(out, hash_name, p), encoding="utf-8").read() for p in parts
+        )
+        assert got == "".join(canonicalize(graphs[g], hash_name) for g in sorted(graphs))
 
 
 def test_partitioned_linker_matches_broadcast(ray_session):

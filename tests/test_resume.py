@@ -68,32 +68,6 @@ def test_stale_lineage_not_skipped(ray_session, tmp_path):
     assert (summary["status"] == "written").all()
 
 
-def test_exact_dedup_resumable(ray_session, tmp_path):
-    """Corpus dedup writes resumable bucket partitions; a rerun skips
-    every completed partition and the output matches the in-memory
-    operator."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from rdf_canon_ray.stages.dedup import exact_dedup, run_exact_dedup_resumable
-    from rdf_canon_ray.state.lineage import read_output
-
-    docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-    out = str(tmp_path / "dedup_out")
-    summary = run_exact_dedup_resumable(docs, out, num_buckets=8, input_tag=SF)
-    assert (summary["status"] == "written").all()
-
-    got = read_output(out).to_pandas().sort_values("content_hash")
-    expect = exact_dedup(docs).to_pandas().sort_values("content_hash")
-    assert got.reset_index(drop=True)[["content_hash", "doc_id", "n_dups"]].equals(
-        expect.reset_index(drop=True)[["content_hash", "doc_id", "n_dups"]]
-    )
-
-    # rerun: everything skipped, partitions untouched
-    summary2 = run_exact_dedup_resumable(docs, out, num_buckets=8, input_tag=SF)
-    assert (summary2["status"] == "skipped").all()
-
-
 def test_failed_bucket_does_not_stop_the_others(ray_session, tmp_path):
     """A bucket_fn failure is raised after the run, once every other
     bucket has completed and been published, so a rerun redoes only the

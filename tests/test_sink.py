@@ -50,7 +50,7 @@ def test_canonical_corpus_sink(ray_session, tmp_path):
                 }
             )
     ds = rd.from_pandas(pd.DataFrame(rows))
-    graphs = canonicalize_graphs(ds, num_buckets=2, structure=False)
+    graphs = canonicalize_graphs(ds, num_buckets=2)
 
     out_dir = str(tmp_path / "corpus")
     paths = write_canonical_nquads(graphs, out_dir)

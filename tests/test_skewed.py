@@ -18,12 +18,12 @@ def test_skewed_corpus_canonicalizes(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from rdf_canon_ray.stages.canonicalize import canonicalize_graphs
+    from rdf_canon_ray.stages.canonicalize import canonicalize_linked, exchange_conversations
     from rdf_canon_ray.transcripts.gen_skewed import skewed_quads
 
     ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
     quads = ds.map_batches(skewed_quads, batch_format="pandas", batch_size=8192)
-    out = canonicalize_graphs(quads, num_buckets=8, structure=True).to_pandas()
+    out = exchange_conversations(quads, "graph_id", canonicalize_linked, 8).to_pandas()
     assert len(out) == 300
     assert (out["status"] == "ok").all()
 
@@ -42,7 +42,7 @@ def test_skewed_corpus_canonicalizes(ray_session):
     assert checked == 50
 
     # determinism under skew
-    out2 = canonicalize_graphs(quads, num_buckets=8, structure=True).to_pandas()
+    out2 = exchange_conversations(quads, "graph_id", canonicalize_linked, 8).to_pandas()
     a = out.sort_values("graph_id")["canon_nquads"].reset_index(drop=True)
     b = out2.sort_values("graph_id")["canon_nquads"].reset_index(drop=True)
     assert a.equals(b)

@@ -1,9 +1,15 @@
-"""Ray-free differential pin of the flagship kernel call: the columnar
-path (``EntityLinker._quads_arrow`` → ``structure_quads`` → Arrow-rendered
-templates → ``canonicalize_templates`` per graph) must give the same
-``_GRAPH_SCHEMA`` rows, all seven columns, as the 9-tuple path it
-replaced (``EntityLinker.__call__`` → ``iter_graph_tuples`` →
-``add_structure_quads`` → ``canonicalize_quads_with_map``)."""
+"""Ray-free differential pins of the Arrow quads kernel.
+
+* The flagship kernel call: the columnar path
+  (``EntityLinker._quads_arrow`` → ``structure_quads`` → Arrow-rendered
+  templates → ``canonicalize_templates`` per graph) must give the same
+  ``_GRAPH_SCHEMA`` rows, all seven columns, as the 9-tuple path
+  (``EntityLinker.__call__`` → ``iter_graph_tuples`` →
+  ``add_structure_quads`` → ``canonicalize_quads_with_map``).
+* The generic kernel (``canonicalize_quads``) on the rendering the
+  flagship never exercises: IRI, blank-node and default graph names,
+  language-tagged, typed and ``xsd:string`` literals, control and
+  astral characters, and duplicate quads."""
 
 import json
 
@@ -17,20 +23,23 @@ from rdf_canon_ray.core.canon import (
     canonicalize_quads_with_map,
     issue,
 )
-from rdf_canon_ray.core.terms import BNODE
+from rdf_canon_ray.core.terms import BNODE, DEFAULT, IRI, LITERAL, XSD_STRING, make_quad
 from rdf_canon_ray.core.trace import CanonTrace
 from rdf_canon_ray.stages.canonicalize import (
     _GRAPH_SCHEMA,
     add_structure_quads,
     canonicalize_bucket,
+    canonicalize_quads,
     canonicalize_transcripts,
     iter_graph_tuples,
 )
 from rdf_canon_ray.transcripts.extract import (
     MENTION_COLS,
+    XSD_INT,
     EntityLinker,
     build_link_maps,
     extract_mentions_batch,
+    quads_table,
 )
 
 
@@ -176,3 +185,74 @@ def test_transcripts_match_tuple_path(maps):
     got = canonicalize_transcripts(pa.Table.from_pandas(df, preserve_index=False), maps)
     assert got.to_pylist() == _legacy(extract_mentions_batch(df), maps)
     assert got.num_rows == 3
+
+
+TORTURE = 'tab\there "q" back\\slash nl\n ctrl\x01\x1f\x7f astral \U0001F680\U0001D11E'
+
+
+def _datasets() -> dict:
+    """Per ``graph_id`` the quads of one dataset."""
+    return {
+        "default": [
+            make_quad(BNODE, "a", "urn:p", BNODE, "b"),
+            make_quad(BNODE, "b", "urn:p", BNODE, "a"),
+            make_quad(BNODE, "a", "urn:label", LITERAL, "zero", "", "en"),
+            make_quad(BNODE, "a", "urn:label", LITERAL, "zero", "", "en"),
+            make_quad(BNODE, "a", "urn:label", LITERAL, "zero", "", "en-GB"),
+            make_quad(BNODE, "b", "urn:text", LITERAL, TORTURE),
+            make_quad(BNODE, "b", "urn:text", LITERAL, TORTURE, XSD_STRING),
+        ],
+        "iri_graphs": [
+            make_quad(BNODE, "e0", "urn:next", BNODE, "e1", "", "", IRI, "urn:g1"),
+            make_quad(BNODE, "e1", "urn:size", LITERAL, "2", XSD_INT, "", IRI, "urn:g1"),
+            make_quad(BNODE, "e1", "urn:size", LITERAL, "2", "", "", IRI, "urn:g1"),
+            make_quad(BNODE, "e0", "urn:text", LITERAL, TORTURE, "", "de-CH", IRI, "urn:g2"),
+            make_quad(IRI, "urn:s", "urn:size", LITERAL, "2", XSD_INT, "", IRI, "urn:g2"),
+            make_quad(IRI, "urn:s", "urn:size", LITERAL, "2", XSD_INT, "", IRI, "urn:g2"),
+        ],
+        "bnode_graphs": [
+            make_quad(BNODE, "x", "urn:p", IRI, "urn:o", "", "", BNODE, "g"),
+            make_quad(BNODE, "x", "urn:p", BNODE, "y", "", "", BNODE, "g"),
+            make_quad(BNODE, "x", "urn:p", BNODE, "y", "", "", BNODE, "g"),
+            make_quad(BNODE, "y", "urn:p", BNODE, "x", "", "", BNODE, "h"),
+            # an IRI graph name and a literal spelled like a bnode label
+            make_quad(BNODE, "x", "urn:p", IRI, "urn:o", "", "", IRI, "g"),
+            make_quad(BNODE, "y", "urn:q", LITERAL, "g", "", "", DEFAULT, ""),
+        ],
+    }
+
+
+@pytest.mark.parametrize("hash_name", ["sha256", "sha384"])
+def test_quads_kernel_matches_tuple_adapter(hash_name):
+    datasets = _datasets()
+    # rows interleaved across graphs: the kernel sorts them stably
+    pairs = [
+        (gid, quads[i])
+        for i in range(max(map(len, datasets.values())))
+        for gid, quads in reversed(datasets.items())
+        if i < len(quads)
+    ]
+    got = canonicalize_quads(quads_table(pairs), hash_name)
+    assert got.schema == _GRAPH_SCHEMA
+    rows = got.to_pylist()
+    assert [r["graph_id"] for r in rows] == sorted(datasets)
+    for row in rows:
+        quads = datasets[row["graph_id"]]
+        doc, labels = canonicalize_quads_with_map(quads, hash_name)
+        bnodes = {v for q in quads for k, v in ((q[0], q[1]), (q[3], q[4]), (q[7], q[8]))
+                  if k == BNODE}
+        assert row == {
+            "graph_id": row["graph_id"], "canon_nquads": doc,
+            "label_map": json.dumps(labels, sort_keys=True),
+            "n_quads": len(quads), "n_bnodes": len(bnodes),
+            "status": "ok", "error": "",
+        }
+    docs = {r["graph_id"]: r["canon_nquads"] for r in rows}
+    # duplicates and the xsd:string twin collapse; the rest is rendered
+    assert docs["default"].count("\n") == 5 and "XMLSchema#string" not in docs["default"]
+    assert '"zero"@en ' in docs["default"] and '"zero"@en-GB ' in docs["default"]
+    assert '\\t' in docs["default"] and "\\u0001\\u001F\\u007F" in docs["default"]
+    assert "\U0001F680\U0001D11E" in docs["default"]
+    assert docs["iri_graphs"].count("\n") == 5 and '@de-CH <urn:g2> .' in docs["iri_graphs"]
+    assert '"2"^^<http://www.w3.org/2001/XMLSchema#integer> <urn:g1> .' in docs["iri_graphs"]
+    assert docs["bnode_graphs"].count("\n") == 5 and "<urn:o> <g> ." in docs["bnode_graphs"]
