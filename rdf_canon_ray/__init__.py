@@ -14,7 +14,7 @@ Layout:
     sources/     N-Quads + Parquet readers/writers
     pipelines/   end-to-end pipelines (flagship KG build, analytics)
     state/       persisted stores (store.py: build, publish, fingerprint,
-                 crash recovery), lineage / resumability, metrics
+                 crash recovery, per-part resume), metrics
 """
 
 __version__ = "0.1.0"

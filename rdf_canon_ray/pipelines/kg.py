@@ -6,7 +6,10 @@ Ray-Data-first lifecycle (SURVEY.md §3.4):
     → bucketed exchange on conv_id            # THE shuffle, one block/core
     → canonicalize_transcripts                # extract + link + RDFC-1.0
                                               #   once per block
-    → write_parquet sinks (partitioned, resumable)
+
+The CLI run (``run_kg_pipeline``) writes its graphs as a store over the
+conversation layout (``store.bucket_store``, resumable per part) and
+publishes the triple table and the canonical N-Quads corpus beside it.
 
 The exchange carries transcript rows, so extraction runs inside the
 parallel block tasks.  The link views (triples, links, mention counts)
@@ -20,9 +23,9 @@ layout itself belongs to ``state/store.py``: ``store.write_buckets``
 writes it (hashed by the exchange's own prepare, like
 ``shuffle.add_bucket``), ``store.parts`` / ``store.split_parts`` list
 it back as base and refresh delta, and ``store.map_files`` runs the
-kernel once per planned block of part files (one block per core).  The
-store build (``store.bucket_store``) runs it once per file, since each
-file is one store partition.
+kernel once per planned block of part files (one block per core).  A
+graph store (``_graph_store``: the incremental base and the CLI output)
+runs it once per file, since each file is one store part.
 
 Cross-partition entity canonicalization: entity IRIs are already
 corpus-canonical (linking resolves surfaces to keys), so the cross-graph
@@ -110,15 +113,6 @@ def _empty_maps_ref():
 
 def _use_partitioned_linker(sf_dir: str, force: bool) -> bool:
     return force or _linker_cardinality(sf_dir) > LINKER_BROADCAST_MAX
-
-
-def transcripts_dataset(sf_dir: str, materialized: bool = True) -> rd.Dataset:
-    """Transcript table for ``sf_dir`` — from the parquet cache when
-    materialized (bench path; lets reruns skip generation), else built
-    inline (map-only)."""
-    if materialized:
-        return rd.read_parquet(transcripts_parquet(sf_dir))
-    return build_transcripts(sf_dir)
 
 
 def _extract_input(
@@ -416,8 +410,9 @@ def transcripts_parquet_partitioned(
             if factor > 1
             else build_transcripts(sf_dir)
         )
+        # one wave: the build is a finished plan of P-bounded stages
         store.write_buckets(
-            source,
+            planned(source),
             tmp,
             ["conv_id"],
             num_buckets,
@@ -459,6 +454,27 @@ def _canonicalize_part_files(
     return process
 
 
+def _graph_store(
+    out_dir: str,
+    files: dict,
+    sf_dir: str,
+    hash_name: str,
+    hndq_call_limit: Optional[int],
+) -> str:
+    """The canonical graphs of the conversation layout's part ``files``
+    (bucket → file) as a store at ``out_dir``, one store part per file
+    (``store.bucket_store``: resumable per part, refuses a foreign
+    non-empty ``out_dir``)."""
+
+    def make_part_table():
+        process = _canonicalize_part_files(
+            _link_maps_ref(sf_dir), hash_name, hndq_call_limit
+        )
+        return lambda path: process(pd.DataFrame({"path": [path]}))
+
+    return store.bucket_store(out_dir, files, make_part_table)
+
+
 def canonical_graphs_partitioned(
     sf_dir: str,
     num_buckets: int = 128,
@@ -490,7 +506,7 @@ def canonical_store(
     """Persisted canonical-graph store over the BASE conversations
     (conv buckets with ``b % delta_mod != 0``): each base bucket's
     canonical rows land in the store's bucket ``b`` part file
-    (``store.bucket_store``), mirroring the transcript layout, written
+    (``_graph_store``), mirroring the transcript layout, written
     once and reused by every incremental refresh.  At 100 TB this is
     the standing canonical corpus next to the conversation log; the
     delta buckets play 'newly arrived conversations'."""
@@ -502,12 +518,7 @@ def canonical_store(
     )
     root = transcripts_parquet_partitioned(sf_dir, num_buckets, cache_root)
     base, _ = store.split_parts(root, delta_mod)
-
-    def make_part_table():
-        process = _canonicalize_part_files(_link_maps_ref(sf_dir), hash_name, None)
-        return lambda path: process(pd.DataFrame({"path": [path]}))
-
-    return store.bucket_store(out_dir, base, make_part_table)
+    return _graph_store(out_dir, base, sf_dir, hash_name, None)
 
 
 def _canonical_delta(
@@ -651,55 +662,21 @@ def hard_graphs(sf_dir: str = "", n_graphs: int = 400) -> rd.Dataset:
 def run_kg_resumable(
     sf_dir: str,
     output_root: str,
-    num_buckets: int = 64,
+    num_buckets: int = 128,
     hndq_call_limit: Optional[int] = None,
-    transcripts: Optional[rd.Dataset] = None,
-    _fail_buckets: Optional[set] = None,
-):
-    """Flagship run with per-partition lineage: canonical graphs land in
-    ``output_root/graphs/bucket=N/`` partitions written atomically; a
-    rerun skips completed buckets at the input filter (kill/resume safe).
-    ``_fail_buckets`` injects failures for the resume test.
-
-    The exchange carries transcript rows (``_EXTRACT_COLS``) and each
-    bucket runs the flagship kernel call (``canonicalize_transcripts``),
-    so extraction runs inside the parallel bucket tasks.  Bucket ids
-    hash ``conv_id`` alone.
-
-    Returns the run-summary DataFrame (bucket, rows, status, seconds).
-    """
-    import pyarrow as pa
-
-    from ..state.lineage import resumable_bucket_run
-
-    maps_ref = _link_maps_ref(sf_dir)
-    fail = _fail_buckets or set()
-
-    def bucket_fn(bucket):
-        return canonicalize_transcripts(
-            pa.Table.from_pandas(bucket, preserve_index=False),
-            maps_ref,
-            "sha256",
-            hndq_call_limit,
-        ).to_pandas()
-
-    def failing_bucket_fn(bucket):
-        import numpy as _np
-        import pandas as _pd
-
-        h = _pd.util.hash_pandas_object(bucket[["conv_id"]], index=False)
-        b = int(h.iloc[0] % _np.uint64(num_buckets))
-        if b in fail:
-            raise RuntimeError(f"injected failure in bucket {b}")
-        return bucket_fn(bucket)
-
-    return resumable_bucket_run(
-        _extract_input(sf_dir, transcripts),
-        ["conv_id"],
-        failing_bucket_fn if fail else bucket_fn,
-        os.path.join(output_root, "graphs"),
-        num_buckets=num_buckets,
-        input_tag=sf_dir,
+) -> str:
+    """The flagship's resumable sink: the canonical graphs of every
+    conversation bucket as a store at ``output_root/graphs``, one
+    ``store.bucket_store`` part per part file of the conversation layout
+    (the ``num_buckets`` cache the partitioned and incremental paths
+    read).  A rerun rewrites only the parts that a crash or a failure
+    left unpublished or whose layout file changed; a failed part does
+    not stop the others.  Returns the store dir (list it with
+    ``store.parts``)."""
+    root = transcripts_parquet_partitioned(sf_dir, num_buckets)
+    return _graph_store(
+        os.path.join(output_root, "graphs"), store.parts(root), sf_dir,
+        "sha256", hndq_call_limit,
     )
 
 
@@ -711,33 +688,30 @@ def run_kg_pipeline(
 ) -> rd.Dataset:
     """End-to-end flagship run. When ``output_root`` is given, writes
 
-    * ``graphs/bucket=N/``  — resumable canonical-graph partitions,
-    * ``triples/``          — partitioned Parquet triple table,
-    * ``canonical_nquads/`` — ordered canonical N-Quads corpus,
+    * ``graphs/``           — the resumable canonical-graph store
+      (``run_kg_resumable``),
+    * ``triples/``          — the Parquet triple table,
+    * ``canonical_nquads/`` — the ordered canonical N-Quads corpus,
 
-    and returns the canonical graphs Dataset (from disk)."""
-    transcripts = transcripts_dataset(sf_dir)
-    if output_root:
-        from ..sources.nquads import write_canonical_nquads
-        from ..state.lineage import read_output
+    and returns the canonical graphs Dataset read back from the store.
+    ``triples/`` and ``canonical_nquads/`` are published whole
+    (``store.publish``), so a rerun replaces them instead of adding to
+    them.  Without ``output_root`` it returns the shuffle flagship's
+    Dataset."""
+    if not output_root:
+        return canonical_graphs_dataset(sf_dir, hndq_call_limit=hndq_call_limit)
+    from ..sources.nquads import write_canonical_nquads
 
-        run_kg_resumable(
-            sf_dir,
-            output_root,
-            hndq_call_limit=hndq_call_limit,
-            transcripts=transcripts,
-        )
-        triples = triples_dataset(sf_dir, transcripts)
-        triples.write_parquet(os.path.join(output_root, "triples"))
-        graphs = read_output(os.path.join(output_root, "graphs"))
-        if write_nquads:
-            write_canonical_nquads(
-                graphs, os.path.join(output_root, "canonical_nquads")
-            )
-        return graphs
-    return canonical_graphs_dataset(
-        sf_dir, transcripts, hndq_call_limit=hndq_call_limit
-    )
+    graphs_dir = run_kg_resumable(sf_dir, output_root, hndq_call_limit=hndq_call_limit)
+    store.publish(os.path.join(output_root, "triples"), triples_dataset(sf_dir).write_parquet)
+    graphs = store.read(store.parts(graphs_dir))
+    if write_nquads:
+
+        def write_corpus(tmp: str) -> None:
+            write_canonical_nquads(graphs, tmp)
+
+        store.publish(os.path.join(output_root, "canonical_nquads"), write_corpus)
+    return graphs
 
 
 def conv_stats(sf_dir: str) -> rd.Dataset:

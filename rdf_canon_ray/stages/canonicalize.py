@@ -218,12 +218,14 @@ def structure_quads(quads: pa.Table) -> pa.Table:
     return pa.concat_tables(out)
 
 
-def _codes(col) -> tuple:
-    """(row codes as numpy, Arrow dictionary) of a string column."""
+def _codes(col, order=None) -> tuple:
+    """(row codes as numpy, Arrow dictionary) of a string column, the
+    codes taken in ``order`` when given."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     enc = pc.dictionary_encode(col)
-    return enc.indices.to_numpy().astype(np.int64), enc.dictionary
+    codes = enc.indices.to_numpy().astype(np.int64)
+    return (codes if order is None else codes[order]), enc.dictionary
 
 
 def _objects(values: pa.Array) -> np.ndarray:
@@ -234,11 +236,14 @@ def _wrap(values: pa.Array, left: str, right: str) -> np.ndarray:
     return _objects(pc.binary_join_element_wise(left, values, right, ""))
 
 
-def _literals(quads: pa.Table, rows: np.ndarray, o: np.ndarray, o_values) -> np.ndarray:
+def _literals(
+    quads: pa.Table, order: np.ndarray, rows: np.ndarray, o: np.ndarray, o_values
+) -> np.ndarray:
     """``term_to_string`` once per distinct ``(o, o_dt, o_lang)`` of the
-    literal ``rows`` (whose ``o`` codes are ``o``), one entry per row."""
-    dt, dt_values = _codes(quads["o_dt"])
-    lang, lang_values = _codes(quads["o_lang"])
+    literal ``rows`` (positions in ``order``; their ``o`` codes are
+    ``o``), one entry per row."""
+    dt, dt_values = _codes(quads["o_dt"], order)
+    lang, lang_values = _codes(quads["o_lang"], order)
     pair = np.unique(dt[rows] * len(lang_values) + lang[rows], return_inverse=True)[1]
     _, first, back = np.unique(
         o * (int(pair.max()) + 1) + pair, return_index=True, return_inverse=True
@@ -253,12 +258,12 @@ def _literals(quads: pa.Table, rows: np.ndarray, o: np.ndarray, o_values) -> np.
     return rendered[back]
 
 
-def _graph_names(quads: pa.Table) -> tuple:
-    """The graph-slot template parts ``(g_static, g)`` of every row:
-    rendered once per distinct ``(g_kind, g)`` ("" for the default
-    graph, `` <g>`` for an IRI, None for a bnode slot)."""
-    g, g_values = _codes(quads["g"])
-    g_kind = quads["g_kind"].to_numpy()
+def _graph_names(quads: pa.Table, order: np.ndarray) -> tuple:
+    """The graph-slot template parts ``(g_static, g)`` of every row in
+    ``order``: rendered once per distinct ``(g_kind, g)`` ("" for the
+    default graph, `` <g>`` for an IRI, None for a bnode slot)."""
+    g, g_values = _codes(quads["g"], order)
+    g_kind = quads["g_kind"].to_numpy()[order]
     _, first, back = np.unique(g * 4 + g_kind, return_index=True, return_inverse=True)
     names = _objects(g_values)[g[first]]
     rendered = np.empty(len(first), dtype=object)
@@ -281,30 +286,29 @@ def _template_columns(quads: pa.Table) -> tuple:
     the dictionary with Arrow concatenation, literals with
     ``term_to_string`` and graph names per distinct ``(g_kind, g)``,
     and rows take their objects from it, so equal strings are one
-    Python object (its hash is computed once)."""
+    Python object (its hash is computed once).  The integer codes and
+    kinds are put in graph order first, so each object column is
+    gathered once."""
     g, g_values = _codes(quads["graph_id"])
     by_name = pc.sort_indices(g_values)
     rank = np.empty(len(g_values), np.int64)
     rank[by_name.to_numpy()] = np.arange(len(g_values))
     key = rank[g]
     order = np.argsort(key, kind="stable")
-    s, s_values = _codes(quads["s"])
-    p, p_values = _codes(quads["p"])
-    o, o_values = _codes(quads["o"])
+    s, s_values = _codes(quads["s"], order)
+    p, p_values = _codes(quads["p"], order)
+    o, o_values = _codes(quads["o"], order)
     o_obj = _objects(o_values)
-    o_kind = quads["o_kind"].to_numpy()
-    s_st = np.where(quads["s_kind"].to_numpy() == IRI, _wrap(s_values, "<", ">")[s], None)
+    o_kind = quads["o_kind"].to_numpy()[order]
+    s_iri = quads["s_kind"].to_numpy()[order] == IRI
+    s_st = np.where(s_iri, _wrap(s_values, "<", ">")[s], None)
     o_st = np.where(o_kind == IRI, _wrap(o_values, "<", ">")[o], None)
     lit = np.flatnonzero(o_kind == LITERAL)
     if len(lit):
-        o_st[lit] = _literals(quads, lit, o[lit], o_obj)
+        o_st[lit] = _literals(quads, order, lit, o[lit], o_obj)
     cols = [s_st, _objects(s_values)[s], _wrap(p_values, " <", "> ")[p], o_st, o_obj[o],
-            *_graph_names(quads)]
-    return (
-        _objects(g_values.take(by_name)),
-        key[order],
-        [c[order] for c in cols],
-    )
+            *_graph_names(quads, order)]
+    return _objects(g_values.take(by_name)), key[order], cols
 
 
 def canonicalize_quads(

@@ -42,6 +42,16 @@ hash bucket ``b`` — is spelled here and nowhere else:
   blocks, one map task per block of contiguous files
   (``plan_partitions``); ``read`` and ``bucket_store`` are built on it,
   and only a store build runs as one wave (``util.planned``).
+* A store (``bucket_store``) is resumable per part.  Each ``part=<b>``
+  dir is published by ``cached`` with its own manifest, fingerprinted
+  on the one base file it mirrors; the store-level manifest, on all the
+  base files, is removed before a rebuild and written after every part
+  has succeeded.  The store dir is updated in place: a rebuild rewrites
+  only the parts whose base file changed or that a crash or a failed
+  part left unpublished, and drops the parts of buckets gone from the
+  base.  A part that fails does not stop the others; the build raises
+  afterwards, naming the failed buckets.  A non-empty target holding
+  anything but the store's own entries is refused, like a sink's.
 
 One driver owns a path at a time; concurrent builders of the same path
 are not coordinated (the last swap wins).
@@ -51,7 +61,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
+import traceback
 from typing import Callable, Optional
 
 import pandas as pd
@@ -77,6 +89,17 @@ def manifest(path: str) -> Optional[dict]:
     return m if isinstance(m, dict) and m.get("format") == FORMAT else None
 
 
+def _write_manifest(path: str, fingerprint, extra=None) -> None:
+    with open(os.path.join(path, MANIFEST), "w") as f:
+        json.dump({**(extra or {}), "format": FORMAT, "fingerprint": fingerprint}, f)
+
+
+def _fresh(path: str, fingerprint) -> bool:
+    m = manifest(path)
+    # compare in JSON form: tuples in the caller's value read back as lists
+    return m is not None and m.get("fingerprint") == json.loads(json.dumps(fingerprint))
+
+
 def publish(
     path: str, build: Callable[[str], Optional[dict]], fingerprint=None
 ) -> str:
@@ -91,8 +114,7 @@ def publish(
     try:
         extra = build(tmp) or {}
         if fingerprint is not None or extra:
-            with open(os.path.join(tmp, MANIFEST), "w") as f:
-                json.dump({**extra, "format": FORMAT, "fingerprint": fingerprint}, f)
+            _write_manifest(tmp, fingerprint, extra)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -111,9 +133,7 @@ def cached(path: str, fingerprint, build: Callable[[str], Optional[dict]]) -> st
     stale = path + ".stale"
     if not os.path.isdir(path) and os.path.isdir(stale):
         os.rename(stale, path)
-    m = manifest(path)
-    # compare in JSON form: tuples in the caller's value read back as lists
-    if m is not None and m.get("fingerprint") == json.loads(json.dumps(fingerprint)):
+    if _fresh(path, fingerprint):
         return path
     return publish(path, build, fingerprint)
 
@@ -138,6 +158,10 @@ def sink(path: str, build: Callable[[str], Optional[dict]]) -> str:
             "write elsewhere) first"
         )
     return publish(path, build)
+
+
+# a part dir, or the leftover of a crashed publish of one
+_PART_ENTRY = re.compile(r"part=(\d+)(\.tmp|\.stale)?")
 
 
 def _part_file(root: str, bucket: int, ext: str = "parquet") -> str:
@@ -169,11 +193,10 @@ def write_buckets(
 
 def parts(root: str) -> dict:
     """bucket → parquet part file of the bucketed layout at ``root``, in
-    bucket order."""
-    buckets = sorted(
-        int(d.split("=", 1)[1]) for d in os.listdir(root) if d.startswith("part=")
-    )
-    return {b: _part_file(root, b) for b in buckets}
+    bucket order: published ``part=<b>`` dirs only, not the ``.tmp`` or
+    ``.stale`` leftovers of a crashed part publish."""
+    found = (_PART_ENTRY.fullmatch(d) for d in os.listdir(root))
+    return {b: _part_file(root, b) for b in sorted(int(m[1]) for m in found if m and not m[2])}
 
 
 def split_parts(root: str, delta_mod: int) -> tuple:
@@ -226,22 +249,49 @@ def bucket_store(path: str, base: dict, make_part_table) -> str:
     rows as an Arrow table, written to the store's own part file.
     Fingerprinted on the base files themselves, so a layout rewritten in
     place invalidates the store instead of feeding a stale base into an
-    incremental merge."""
+    incremental merge; each part is fingerprinted on its own base file,
+    so a rebuild rewrites only the parts that are stale or missing."""
+    fingerprint = stat_files(base)
+    if _fresh(path, fingerprint):
+        return path
+    names = os.listdir(path) if os.path.isdir(path) else []
+    entries = {n: _PART_ENTRY.fullmatch(n) for n in names if n != MANIFEST}
+    foreign = sorted(n for n, m in entries.items() if m is None)
+    if foreign:
+        raise FileExistsError(
+            f"{path} holds {foreign[:3]}, which no store wrote — remove it "
+            "(or write elsewhere) first"
+        )
+    os.makedirs(path, exist_ok=True)
+    if MANIFEST in names:
+        os.remove(os.path.join(path, MANIFEST))
+    for n, m in entries.items():
+        if int(m[1]) not in base:
+            shutil.rmtree(os.path.join(path, n))
+    part_table = make_part_table()
 
-    def build(tmp: str) -> None:
-        part_table = make_part_table()
+    def write_block(batch: pd.DataFrame) -> pd.DataFrame:
+        errors = []
+        for p, b in zip(batch["path"], batch["bucket"]):
+            try:
+                cached(
+                    os.path.dirname(_part_file(path, int(b))),
+                    stat_files({p: p}),
+                    lambda tmp: pq.write_table(part_table(p), os.path.join(tmp, "data.parquet")),
+                )
+                errors.append("")
+            except Exception:
+                # report after the map, so every other part is still published
+                errors.append(traceback.format_exc())
+        return pd.DataFrame({"bucket": batch["bucket"], "error": errors})
 
-        def write_block(batch: pd.DataFrame) -> pd.DataFrame:
-            rows = []
-            for p, b in zip(batch["path"], batch["bucket"]):
-                table = part_table(p)
-                file = _part_file(tmp, int(b))
-                os.makedirs(os.path.dirname(file), exist_ok=True)
-                pq.write_table(table, file)
-                rows.append(table.num_rows)
-            return pd.DataFrame({"bucket": batch["bucket"], "rows": rows})
-
-        # P write tasks, each returning one small row per file: bounded
-        planned(map_files(base, write_block)).count()
-
-    return cached(path, stat_files(base), build)
+    # P write tasks, each returning one small row per file: bounded
+    written = planned(map_files(base, write_block)).iter_rows()
+    failed = [r for r in written if r["error"]]
+    if failed:
+        raise RuntimeError(
+            f"store {path}: buckets {sorted(int(r['bucket']) for r in failed)} failed; "
+            f"every other part is published. First failure:\n{failed[0]['error']}"
+        )
+    _write_manifest(path, fingerprint)
+    return path

@@ -254,32 +254,43 @@ def test_incremental_merge_equals_full_rebuild(ray_session):
     assert 0 < len(parts) < 16
 
 
-def test_canonical_store_rebuilds_on_stale_fingerprint(ray_session):
+def test_canonical_store_rebuilds_on_stale_fingerprint(ray_session, tmp_path):
     """The store records an input fingerprint of the base partition
     files (size+mtime); touching a base bucket in place must trigger a
-    rebuild instead of serving the stale store (ADVICE r04 #1)."""
+    rebuild instead of serving the stale store (ADVICE r04 #1), and the
+    rebuild rewrites only that bucket's part."""
     import json
     import os
 
     from rdf_canon_ray.pipelines import kg
     from rdf_canon_ray.pipelines.kg import transcripts_parquet_partitioned
+    from rdf_canon_ray.state.store import parts
 
-    store = kg.canonical_store(SF, num_buckets=16, delta_mod=4)
+    def mtimes():
+        return {b: os.stat(f).st_mtime_ns for b, f in parts(store).items()}
+
+    cache = str(tmp_path / "cache")
+    store = kg.canonical_store(SF, num_buckets=16, delta_mod=4, cache_root=cache)
     mf = os.path.join(store, "_store.json")
     assert os.path.isfile(mf)
     with open(mf) as f:
         fp0 = json.load(f)["fingerprint"]
     # cache hit: same input → same dir, manifest untouched
-    assert kg.canonical_store(SF, num_buckets=16, delta_mod=4) == store
+    assert kg.canonical_store(SF, num_buckets=16, delta_mod=4, cache_root=cache) == store
     # simulate an in-place layout regeneration: bump one base file's mtime
-    root = transcripts_parquet_partitioned(SF, 16)
+    before = mtimes()
+    root = transcripts_parquet_partitioned(SF, 16, cache)
     base_file = os.path.join(root, "part=1", "data.parquet")
     st = os.stat(base_file)
     os.utime(base_file, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
-    store2 = kg.canonical_store(SF, num_buckets=16, delta_mod=4)
+    store2 = kg.canonical_store(SF, num_buckets=16, delta_mod=4, cache_root=cache)
     with open(os.path.join(store2, "_store.json")) as f:
         fp1 = json.load(f)["fingerprint"]
     assert fp1 != fp0  # rebuilt against the new layout fingerprint
+    # only the part mirroring the touched base file was rewritten
+    after = mtimes()
+    assert list(after) == list(before) and 1 in before
+    assert {b for b in after if after[b] != before[b]} == {1}
 
 
 def test_transcript_caches_rebuild_on_changed_input(ray_session, tmp_path):
@@ -366,6 +377,36 @@ def test_run_kg_pipeline_end_to_end(ray_session, tmp_path):
     )
     # corpus ordered by graph_id: first line belongs to conv-0
     assert "<urn:conv:conv-0>" in text.split("\n", 40)[0] or "urn:e:order:0" in text.split("\n", 1)[0]
+
+
+def test_cli_kg_rerun_rewrites_nothing(ray_session, tmp_path):
+    """``python -m rdf_canon_ray kg SF OUT`` run twice: the second run
+    finds every graph part published and rewrites none, and the triple
+    table and the N-Quads corpus are replaced, not appended to."""
+    import os
+
+    import ray.data as rd
+
+    from rdf_canon_ray.__main__ import main
+    from rdf_canon_ray.state import store
+
+    out = str(tmp_path / "kg")
+    graphs = os.path.join(out, "graphs")
+
+    def snapshot():
+        return {f: os.stat(f).st_mtime_ns for f in store.parts(graphs).values()}
+
+    assert main(["kg", SF, out]) == 0
+    first = snapshot()
+    assert main(["kg", SF, out]) == 0
+    assert first and snapshot() == first
+    assert rd.read_parquet(os.path.join(out, "triples")).count() == 15388
+    # the sort's block bounds (so the part names) vary per run: no part
+    # of the first run may linger outside the index
+    nq = os.path.join(out, "canonical_nquads")
+    with open(os.path.join(nq, "_index.json")) as f:
+        listed = json.load(f)["parts"]
+    assert sorted(listed) == sorted(set(os.listdir(nq)) - {"_index.json"})
 
 
 def test_cli_canonicalize_and_issue(tmp_path):

@@ -5,7 +5,8 @@ small object store, where Ray Data's per-operator reservation would
 otherwise start each stage's first task alone.  Only the flagship plans
 and the store build are planned: the building blocks, and every plan
 composed from them elsewhere, keep the reservation whatever the order
-of a union's inputs."""
+of a union's inputs.  The conversation layout build is planned too:
+it is a finished plan the library builds end to end."""
 
 import os
 import pathlib
@@ -93,16 +94,20 @@ def _reserves(ds) -> bool:
     return ds.context.op_resource_reservation_enabled
 
 
-def test_only_flagship_plans_are_planned(ray_session):
+def test_only_flagship_plans_are_planned(ray_session, tmp_path, monkeypatch):
     """The flag is set on the finished flagship plans alone; building
     blocks and the other pipelines' unions (``graph.comention_incremental``,
     ``store.read(...).union(...)`` as in ``events_hourly_incremental``)
-    keep the reservation, in either union order.  Nothing is executed
-    here but the cached layout and store builds."""
+    keep the reservation, in either union order.  The conversation
+    layout build hands ``store.write_buckets`` a planned plan; the csv
+    sink, which feeds it a caller's plan, does not.  Nothing is
+    executed here but the cached layout and store builds and one small
+    csv sink."""
     import ray.data as rd
     from ray.data import DataContext
 
     from rdf_canon_ray.pipelines import graph, kg
+    from rdf_canon_ray.sources.csv import write_csv_partitioned
     from rdf_canon_ray.stages import shuffle
     from rdf_canon_ray.state import store
 
@@ -128,4 +133,18 @@ def test_only_flagship_plans_are_planned(ray_session):
         graph.comention_incremental(SF, 16, delta_mod=4),
     ):
         assert _reserves(ds)
+
+    reserves = []
+    write_buckets = store.write_buckets
+
+    def spy(ds, *args, **kwargs):
+        reserves.append(_reserves(ds))
+        return write_buckets(ds, *args, **kwargs)
+
+    monkeypatch.setattr(store, "write_buckets", spy)
+    kg.transcripts_parquet_partitioned(SF, 4, str(tmp_path / "cache"))
+    write_csv_partitioned(
+        rd.from_items([{"k": i} for i in range(8)]), str(tmp_path / "csv"), ["k"], 4
+    )
+    assert reserves == [False, True]
     assert DataContext.get_current().op_resource_reservation_enabled

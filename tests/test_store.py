@@ -193,7 +193,7 @@ def test_only_the_store_spells_the_bucketed_layout():
 
     owner = pathlib.Path(store.__file__).resolve()
     pkg = owner.parents[1]
-    banned = ("part=", "override_num_blocks=plan_partitions")
+    banned = ("part=", "bucket=", "override_num_blocks=plan_partitions")
     hits = [
         f"{p.relative_to(pkg)}: {word}"
         for p in sorted(pkg.rglob("*.py"))
