@@ -177,7 +177,7 @@ def run_bench() -> dict:
     # in-process caches are then CLEARED so the timed kg_pagerank /
     # kg_bfs_depths measure the honest cold-session-with-store path
     # (disk load + iterations), not warm-cache iterations.
-    graph._resident_graph(sf_dir, None, 500_000)
+    graph._resident_graph(sf_dir, None)
     graph._ENC_CACHE.clear()
     graph._ADJ_CACHE.clear()
     graph._PAIRS_CACHE.clear()

@@ -3129,15 +3129,18 @@ def events_global_rownum(sf_dir: str) -> rd.Dataset:
     return bucketed_map_groups(kd, ["hb"], rank_bucket, num_buckets=32)
 
 
-def global_value_median(
-    sf_dir: str, collect_threshold: int = 100_000
-) -> rd.Dataset:
+# Collect gate of ``global_value_median``: a candidate bin of at most
+# this many values reaches the driver; a larger one is narrowed again.
+MEDIAN_COLLECT_MAX = 100_000
+
+
+def global_value_median(sf_dir: str) -> rd.Dataset:
     """EXACT global selection without a sort: the discrete median of
     ``value`` over the whole stream (quantile_disc convention —
     sorted[ceil(n/2)−1]) found by iterative histogram narrowing: each
     round one map-only binned-count pass over the stream locates the
     256th of the current range holding the target rank, until the
-    candidate range's population fits ``collect_threshold``; only then
+    candidate range's population fits ``MEDIAN_COLLECT_MAX``; only then
     do the few surviving values reach the driver for the exact pick.
     O(log_256(spread)) full scans, never a shuffle, never a
     corpus-scale collect — the classic distributed selection
@@ -3188,7 +3191,7 @@ def global_value_median(
         cum = below + np.cumsum(counts)
         j = int(np.searchsorted(cum, k))
         in_bin = int(counts[j])
-        if in_bin <= collect_threshold:
+        if in_bin <= MEDIAN_COLLECT_MAX:
             # collect by the SAME bin assignment the counting pass used
             # — a range predicate on the bin edges disagrees with the
             # floor-division binning within an ulp of an edge

@@ -546,49 +546,40 @@ def knn_refset(sf_dir: str, k: int = 5, n_ref: int = 200) -> rd.Dataset:
     return similarity.knn_join(_embeddings(sf_dir), ref_ids, ref_vecs, k=k)
 
 
-def dedup_clean(
-    sf_dir: str,
-    threshold: float = 0.5,
-    broadcast_max: int = 1_000_000,
-) -> rd.Dataset:
+def dedup_clean(sf_dir: str, threshold: float = 0.5) -> rd.Dataset:
     """End-to-end corpus dedup: word-3-gram near-dup groups → keep only
     each cluster's min-id representative (plus all unduplicated docs).
 
     The drop-set (group members that are not their cluster's rep) is
-    usually output-scale, so it is broadcast when it has at most
-    ``broadcast_max`` rows (one map-only anti-join filter over the
-    corpus).  A heavily duplicated corpus can make it corpus-scale —
-    above the gate the filter switches to a distributed co-partitioned
-    anti-join (``partitioned_anti_join``) with no driver-side set.
+    removed by the gated ``joins.anti_join``: usually output-scale and
+    broadcast, co-partitioned when a heavily duplicated corpus makes it
+    corpus-scale.
 
     Output: (doc_id) of the kept documents."""
-    import pandas as pd
-    import ray
-
     from ..stages.dedup import dup_groups_from_pairs
-    from ..stages.joins import anti_join_filter, partitioned_anti_join
-    from ..util import default_buckets
 
     groups = dup_groups_from_pairs(
         ngram_jaccard_pairs(sf_dir, threshold=threshold)
     )
-    drop_ds = groups.map_batches(
+    # only doc_id leaves the parquet — the kept-ids output needs no text
+    ids = rd.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    )
+    return _keep_representatives(ids, groups)
+
+
+def _keep_representatives(ids: rd.Dataset, groups: rd.Dataset) -> rd.Dataset:
+    """``ids`` minus every grouped doc that is not its cluster's rep."""
+    from ..stages.joins import anti_join
+
+    drop = groups.map_batches(
         lambda b: pd.DataFrame(
             {"doc_id": b.loc[b["doc_id"] != b["rep_id"], "doc_id"].to_numpy()}
         ),
         batch_format="pandas",
         batch_size=32768,
-    ).materialize()
-    # only doc_id leaves the parquet — the kept-ids output needs no text
-    ids = rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
     )
-    if drop_ds.count() <= broadcast_max:
-        drop_ref = ray.put(set(drop_ds.to_pandas()["doc_id"].tolist()))
-        return anti_join_filter(ids, "doc_id", drop_ref)
-    return partitioned_anti_join(
-        ids, drop_ds, on="doc_id", num_buckets=default_buckets()
-    )
+    return anti_join(ids, drop, "doc_id")
 
 
 def pack_sequences(
@@ -1168,7 +1159,6 @@ def curate_corpus(
     jaccard_threshold: float = 0.5,
     n: int = 8,
     bench_docs: int = 10,
-    broadcast_max: int = 1_000_000,
 ) -> rd.Dataset:
     """End-to-end training-data curation — the flagship composition a
     corpus pipeline runs before tokenization:
@@ -1184,13 +1174,11 @@ def curate_corpus(
 
     The filter pass is stateless and recomputed per consumer rather
     than materialized (the curated set is corpus-scale at 100 TB); the
-    drop-set applies via the same gated broadcast / partitioned
-    anti-join as ``dedup_clean``.  Output: (doc_id) of the curated
-    corpus."""
+    drop-set applies via the same gated ``joins.anti_join`` as
+    ``dedup_clean``.  Output: (doc_id) of the curated corpus."""
     import ray
 
     from ..stages.dedup import dup_groups_from_pairs, minhash_lsh_pairs
-    from ..stages.joins import anti_join_filter, partitioned_anti_join
     from ..util import default_buckets
 
     bench_ref = ray.put(_bench_shingles(sf_dir, n, bench_docs))
@@ -1214,23 +1202,10 @@ def curate_corpus(
         threshold=jaccard_threshold,
         num_buckets=default_buckets(),
     )
-    groups = dup_groups_from_pairs(pairs)
-    drop_ds = groups.map_batches(
-        lambda b: pd.DataFrame(
-            {"doc_id": b.loc[b["doc_id"] != b["rep_id"], "doc_id"].to_numpy()}
-        ),
-        batch_format="pandas",
-        batch_size=32768,
-    ).materialize()
     ids = filtered().map_batches(
         lambda b: b[["doc_id"]], batch_format="pandas", batch_size=32768
     )
-    if drop_ds.count() <= broadcast_max:
-        drop_ref = ray.put(set(drop_ds.to_pandas()["doc_id"].tolist()))
-        return anti_join_filter(ids, "doc_id", drop_ref)
-    return partitioned_anti_join(
-        ids, drop_ds, on="doc_id", num_buckets=default_buckets()
-    )
+    return _keep_representatives(ids, dup_groups_from_pairs(pairs))
 
 
 def embed_covariance(sf_dir: str) -> rd.Dataset:

@@ -17,14 +17,15 @@ co-mention graph.
   (init rank = 1, update r = 0.15 + 0.85·Σ r/deg) so values stay O(1)
   and round cleanly.  Two execution modes, chosen by a node-count gate
   exactly like ``dedup_clean``'s drop-set:
-    - adjacency-resident broadcast mode (node table ≤ threshold): the
-      graph is packed ONCE into per-node in-edge lists (one bucketed
-      exchange keyed by dst, exact dedup inside the bucket), after
-      which every iteration is a MAP-ONLY pass — the rank/deg vector
-      ships via ``ray.put`` (node-scale, gated) and per-batch segment
-      sums (``np.add.reduceat`` over the flattened lists) produce the
-      new ranks with zero shuffle.  This is the GraphX/Pregel resident-
-      graph pattern on Ray Data.
+    - adjacency-resident broadcast mode (node table ≤
+      ``RESIDENT_GRAPH_MAX_NODES``): the graph is packed ONCE into
+      per-node in-edge lists (one bucketed exchange keyed by dst,
+      exact dedup inside the bucket), after which every iteration is
+      a MAP-ONLY pass — the rank/deg vector ships via ``ray.put``
+      (node-scale, gated) and per-batch segment sums
+      (``np.add.reduceat`` over the flattened lists) produce the new
+      ranks with zero shuffle.  This is the GraphX/Pregel
+      resident-graph pattern on Ray Data.
     - partitioned mode (the no-gate fallback): ranks stay a Dataset;
       each iteration is a bucketed hash join (edges ⋈ ranks on src)
       plus a grouped sum on dst — the message exchange expressed on the
@@ -54,6 +55,12 @@ from .kg import _link_batches, transcripts_parquet
 
 DAMPING = 0.85
 TELEPORT = 0.15
+
+# Broadcast↔partitioned gates.  Resident graph (pagerank, BFS): node
+# table size.  Triangles: node table AND edge list must both fit.
+RESIDENT_GRAPH_MAX_NODES = 500_000
+TRIANGLE_NODE_BROADCAST_MAX = 2_000_000
+TRIANGLE_EDGE_BROADCAST_MAX = 50_000_000
 
 # Process-level singleton caches (the standing pattern for seconds-long
 # shared intermediates): every graph query in a driver run re-derives
@@ -131,19 +138,20 @@ def _adjacency_fingerprint(sf_dir: str) -> dict:
     return {"v": _ADJ_STORE_V, "corpus": [list(t) for t in _corpus_tag(sf_dir)]}
 
 
-def _load_resident_graph(store_dir: str, fingerprint: dict, threshold: int):
+def _load_resident_graph(store_dir: str, fingerprint: dict):
     """(enc, nodes, deg) from a fingerprint-matching on-disk store, the
-    sentinel ``"gate"`` when the store says the graph exceeds the
-    broadcast threshold (callers skip straight to the partitioned path
-    without packing), or None when there is no usable store."""
+    sentinel ``"gate"`` when the store says the graph exceeds
+    ``RESIDENT_GRAPH_MAX_NODES`` (callers skip straight to the
+    partitioned path without packing), or None when there is no usable
+    store."""
     manifest = store.manifest(store_dir)
     if manifest is None or manifest["fingerprint"] != fingerprint:
         return None
-    if manifest["n"] > threshold:
+    if manifest["n"] > RESIDENT_GRAPH_MAX_NODES:
         return "gate"
     if not os.path.isfile(os.path.join(store_dir, "nodes.parquet")):
         # gate-only manifest (written when the graph exceeded a smaller
-        # threshold): no data to load — rebuild under this threshold
+        # gate): no data to load — rebuild under this one
         return None
     ndf = pd.read_parquet(os.path.join(store_dir, "nodes.parquet"))
     # Arrow blocks, materialized once: every PageRank/BFS round maps them
@@ -156,11 +164,7 @@ def _load_resident_graph(store_dir: str, fingerprint: dict, threshold: int):
     )
 
 
-def _resident_graph(
-    sf_dir: str,
-    max_conv_entities: Optional[int],
-    broadcast_threshold: int,
-):
+def _resident_graph(sf_dir: str, max_conv_entities: Optional[int]):
     """(encoded adjacency, nodes, deg) for the resident-graph iteration
     family, cached per (sf_dir, cap) at two levels: in-process
     (pagerank and BFS in the same process share one pack + encode) and
@@ -171,10 +175,10 @@ def _resident_graph(
     key = (os.path.abspath(sf_dir), max_conv_entities, _corpus_tag(sf_dir))
     hit = _ENC_CACHE.get(key)
     if hit is not None:
-        return hit if len(hit[1]) <= broadcast_threshold else None
+        return hit if len(hit[1]) <= RESIDENT_GRAPH_MAX_NODES else None
     fingerprint = _adjacency_fingerprint(sf_dir)
     store_dir = _adjacency_store_dir(sf_dir, max_conv_entities)
-    loaded = _load_resident_graph(store_dir, fingerprint, broadcast_threshold)
+    loaded = _load_resident_graph(store_dir, fingerprint)
     if loaded == "gate":
         return None
     if loaded is not None:
@@ -182,7 +186,7 @@ def _resident_graph(
         return loaded
     adj = _packed_adjacency(sf_dir, max_conv_entities)
     n = adj.count()
-    if n > broadcast_threshold:
+    if n > RESIDENT_GRAPH_MAX_NODES:
         # persist the gate decision too: the next cold session skips the
         # pack entirely instead of re-building just to re-decide
         store.publish(store_dir, lambda tmp: {"n": int(n)}, fingerprint)
@@ -516,16 +520,13 @@ def _packed_adjacency(
 def pagerank(
     sf_dir: str,
     iterations: int = 5,
-    broadcast_threshold: int = 500_000,
     max_conv_entities: Optional[int] = None,
-    force_partitioned: bool = False,
 ) -> rd.Dataset:
     """Fixed-iteration PageRank over the co-mention graph →
     (entity_iri, rank) with rank rounded half-even to 6 dp."""
-    if not force_partitioned:
-        rg = _resident_graph(sf_dir, max_conv_entities, broadcast_threshold)
-        if rg is not None:
-            return _pagerank_iterate(*rg, iterations)
+    rg = _resident_graph(sf_dir, max_conv_entities)
+    if rg is not None:
+        return _pagerank_iterate(*rg, iterations)
     return _pagerank_partitioned(sf_dir, iterations, max_conv_entities)
 
 
@@ -734,19 +735,17 @@ def _pagerank_iterate(
 def bfs_depths(
     sf_dir: str,
     max_depth: int = 4,
-    broadcast_threshold: int = 500_000,
     max_conv_entities: Optional[int] = None,
-    force_partitioned: bool = False,
 ) -> rd.Dataset:
     """Single-source BFS levels over the co-mention graph (the iterative
     traversal family: reachability / shortest hops).  Seed = the
     max-degree entity (ties → lexicographically smallest).  Two modes
     behind the same node-count gate as ``pagerank``:
-      - resident broadcast (node table ≤ threshold): the adjacency
-        packs ONCE, then each of the ``max_depth`` rounds is a MAP-ONLY
-        min-plus relaxation (new_depth(v) = min(depth(v), 1 + min depth
-        over in-neighbors)) with the node-scale depth vector broadcast
-        via ``ray.put`` — zero per-iteration shuffle.
+      - resident broadcast (node table ≤ ``RESIDENT_GRAPH_MAX_NODES``):
+        the adjacency packs ONCE, then each of the ``max_depth`` rounds
+        is a MAP-ONLY min-plus relaxation (new_depth(v) = min(depth(v),
+        1 + min depth over in-neighbors)) with the node-scale depth
+        vector broadcast via ``ray.put`` — zero per-iteration shuffle.
       - partitioned fallback (``_bfs_partitioned``): depths stay a
         frontier-scale Dataset; each round is one bucketed hash join
         (edges ⋈ depths on src) + one grouped min on dst — no
@@ -754,9 +753,7 @@ def bfs_depths(
     Converges level-by-level, so round r finalizes every node at BFS
     distance ≤ r.  Output: (entity_iri, depth ≤ max_depth) for reached
     nodes only; the oracle replays it as a bounded recursive CTE."""
-    if force_partitioned:
-        return _bfs_partitioned(sf_dir, max_depth, max_conv_entities)
-    rg = _resident_graph(sf_dir, max_conv_entities, broadcast_threshold)
+    rg = _resident_graph(sf_dir, max_conv_entities)
     if rg is None:
         return _bfs_partitioned(sf_dir, max_depth, max_conv_entities)
     enc, nodes, deg = rg
@@ -799,10 +796,7 @@ def bfs_depths(
 
 def triangle_counts(
     sf_dir: str,
-    broadcast_threshold: int = 2_000_000,
-    edge_broadcast_threshold: int = 50_000_000,
     max_conv_entities: Optional[int] = None,
-    force_partitioned: bool = False,
     wedge_budget_floor: int = 2_000_000,
 ) -> rd.Dataset:
     """Per-node triangle counts + local clustering coefficient over the
@@ -816,12 +810,12 @@ def triangle_counts(
     orientation caps out-degrees at ~√m.
 
     Two execution modes behind the same gate pattern as ``pagerank``:
-      - broadcast (default when the node table fits
-        ``broadcast_threshold`` AND the edge list fits
-        ``edge_broadcast_threshold``): degree map + sorted int64 edge-key
+      - broadcast (when the node table fits
+        ``TRIANGLE_NODE_BROADCAST_MAX`` AND the edge list fits
+        ``TRIANGLE_EDGE_BROADCAST_MAX``): degree map + sorted int64 edge-key
         array ship via ``ray.put`` and the wedge stream never crosses
         the wire (membership is an in-task searchsorted).
-      - partitioned (above either gate, or ``force_partitioned``): no
+      - partitioned (above either gate): no
         node- or edge-scale driver/broadcast state anywhere — degrees
         attach to both endpoints through co-partitioned hash joins, the
         wedge stream is generated in the corner's bucket and closed by
@@ -864,9 +858,8 @@ def triangle_counts(
         default_buckets(),
     ).materialize()
     if (
-        force_partitioned
-        or deg.count() > broadcast_threshold
-        or edges.count() > edge_broadcast_threshold
+        deg.count() > TRIANGLE_NODE_BROADCAST_MAX
+        or edges.count() > TRIANGLE_EDGE_BROADCAST_MAX
     ):
         return _triangles_partitioned(edges, deg)
     deg_df = deg.to_pandas()
@@ -898,8 +891,8 @@ def triangle_counts(
 
     # Close wedges with DRIVER-PLANNED, wedge-balanced tasks: the
     # oriented edge SET already ships broadcast as one sorted int64 key
-    # array (u·n + v; edge-scale — 8 bytes/edge, gated by
-    # broadcast_threshold alongside the node map), and that same array
+    # array (u·n + v; edge-scale — 8 bytes/edge, gated by the edge
+    # constant alongside the node map), and that same array
     # IS the (u, v)-sorted edge list — so instead of re-shuffling the
     # edges into u-hash buckets (whose wedge volume is wildly skewed: a
     # hub's C(outdeg, 2) wedges all land in one task), the driver walks

@@ -81,10 +81,9 @@ def _link_maps_ref(sf_dir: str):
 
 # Entity-linker dimension gate: below it, the dimension tables ship as
 # broadcast lookup arrays (build_link_maps — one driver read + ray.put); above
-# it (or force_partitioned_linker=True), mention surfaces resolve via
-# co-partitioned hash joins instead (resolve_mentions_partitioned) and
-# NO node-scale dictionary ever lands on the driver.  The check is
-# parquet-footer row counts — metadata only.
+# it, mention surfaces resolve via co-partitioned hash joins instead
+# (resolve_mentions_partitioned) and NO node-scale dictionary ever lands on
+# the driver.  The check is parquet-footer row counts — metadata only.
 LINKER_BROADCAST_MAX = 5_000_000
 
 
@@ -111,8 +110,8 @@ def _empty_maps_ref():
     return ref
 
 
-def _use_partitioned_linker(sf_dir: str, force: bool) -> bool:
-    return force or _linker_cardinality(sf_dir) > LINKER_BROADCAST_MAX
+def _use_partitioned_linker(sf_dir: str) -> bool:
+    return _linker_cardinality(sf_dir) > LINKER_BROADCAST_MAX
 
 
 def _extract_input(
@@ -173,20 +172,15 @@ def _resolved_mentions(sf_dir: str, transcripts) -> rd.Dataset:
 
 
 def links_dataset(
-    sf_dir: str,
-    transcripts: Optional[rd.Dataset] = None,
-    force_partitioned_linker: bool = False,
+    sf_dir: str, transcripts: Optional[rd.Dataset] = None
 ) -> rd.Dataset:
     return _link_batches(
-        sf_dir, transcripts, "_links_arrow",
-        _use_partitioned_linker(sf_dir, force_partitioned_linker),
+        sf_dir, transcripts, "_links_arrow", _use_partitioned_linker(sf_dir)
     )
 
 
 def triples_dataset(
-    sf_dir: str,
-    transcripts: Optional[rd.Dataset] = None,
-    force_partitioned_linker: bool = False,
+    sf_dir: str, transcripts: Optional[rd.Dataset] = None
 ) -> rd.Dataset:
     """Distinct extracted (conv_id, subj, pred, obj) IRI/literal triples —
     the SQL-oracle-checked extraction product.  The linker emits triples
@@ -195,8 +189,7 @@ def triples_dataset(
     from ..stages.shuffle import distinct
 
     projected = _link_batches(
-        sf_dir, transcripts, "_triples_arrow",
-        _use_partitioned_linker(sf_dir, force_partitioned_linker),
+        sf_dir, transcripts, "_triples_arrow", _use_partitioned_linker(sf_dir)
     )
     return distinct(projected, ["conv_id", "subj", "pred", "obj"])
 
@@ -317,7 +310,6 @@ def canonical_graphs_dataset(
     transcripts: Optional[rd.Dataset] = None,
     hash_name: str = "sha256",
     hndq_call_limit: Optional[int] = None,
-    force_partitioned_linker: bool = False,
 ) -> rd.Dataset:
     """Per-conversation canonical graphs via the fused fast path: the
     all-to-all exchange moves the transcript rows (``_EXTRACT_COLS``; a
@@ -327,13 +319,12 @@ def canonical_graphs_dataset(
     ``stages.canonicalize.canonicalize_graphs``, used by the N-Quads
     CLI, conformance and the stress corpora.)
 
-    Above ``LINKER_BROADCAST_MAX`` dimension rows (or with
-    ``force_partitioned_linker``) the mention surfaces resolve via
-    co-partitioned hash joins BEFORE the conversation exchange, so that
-    exchange moves the resolved mentions, and the bucket kernel runs
-    dict-free — no driver-side dimension state (pytest pins
-    byte-equality with the broadcast path)."""
-    if _use_partitioned_linker(sf_dir, force_partitioned_linker):
+    Above ``LINKER_BROADCAST_MAX`` dimension rows the mention surfaces
+    resolve via co-partitioned hash joins BEFORE the conversation
+    exchange, so that exchange moves the resolved mentions, and the
+    bucket kernel runs dict-free — no driver-side dimension state
+    (pytest pins byte-equality with the broadcast path)."""
+    if _use_partitioned_linker(sf_dir):
         empty_ref = _empty_maps_ref()
 
         def link_resolved(block):

@@ -7,18 +7,17 @@
   (``shuffle.cogroup``), pandas merge per bucket; each side keeps its
   own dtypes (only the side an outer merge NaN-fills has its ints
   widened to float64).  ``partitioned_anti_join`` and ``range_join``
-  share the exchange.  A hot key hashes to ONE
-  bucket no matter how many buckets exist; true skew handling is
-  ``salt > 1`` (replicate the right side across salt sub-buckets and
-  spread the left side's hot-key rows over them) or
-  ``broadcast_threshold`` (automatic broadcast fallback when the right
-  side is small enough to ship whole).
+  share the exchange.  A hot key hashes to ONE bucket no matter how
+  many buckets exist; a small side belongs in ``broadcast_join``.
 * ``asof_prev``       — ordered per-key operator (previous row by time):
   bucket by key, sort within bucket, vectorized shift per key. The same
   shape implements merge_asof/range joins (sort + ``pd.merge_asof`` in
   the bucket).
-* ``semi_join_filter`` / ``anti_join_filter`` — broadcast key set,
-  vectorized ``isin`` inside ``map_batches``.
+* ``semi_join_filter`` — broadcast key set, vectorized ``isin`` inside
+  ``map_batches``.
+* ``anti_join``       — one gate (``ANTI_JOIN_BROADCAST_MAX``): a small
+  right side ships as a broadcast key set, a large one co-partitions
+  with the left side (``partitioned_anti_join``).
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import ray
 import ray.data as rd
 
 from ..state import metrics
+from ..util import default_buckets
 from .shuffle import bucketed_map_groups, cogroup
 
 
@@ -54,53 +54,10 @@ def hash_join(
     on: Sequence[str] | str,
     how: str = "inner",
     num_buckets: int = 64,
-    salt: int = 1,
-    broadcast_threshold: int | None = None,
 ) -> rd.Dataset:
     """Partitioned hash join: rows from both sides meet in their key's
-    bucket (``cogroup``); pandas merge runs per bucket.
-
-    Skew handling:
-    * ``salt > 1`` — the right side is replicated once per salt value
-      and the left side's rows are spread over the salts, so a hot
-      key's work lands in up to ``salt`` different buckets instead of
-      one straggler.  Replication duplicates unmatched right rows, so
-      salting is restricted to ``inner``/``left`` joins.
-    * ``broadcast_threshold`` — if the right side has at most this many
-      rows, skip the shuffle entirely and broadcast it
-      (``broadcast_join``).  The right side is materialized once for
-      the count and whichever join follows.
-    """
-    on_cols: List[str] = [on] if isinstance(on, str) else list(on)
-    if salt > 1 and how not in ("inner", "left"):
-        raise ValueError(
-            f"salt>1 replicates the right side; only inner/left joins "
-            f"keep their semantics (got how={how!r})"
-        )
-    if broadcast_threshold is not None and how in ("inner", "left"):
-        # broadcast_join merges per LEFT batch, so right/outer semantics
-        # (emit unmatched right rows exactly once) cannot be preserved —
-        # those fall through to the partitioned join below.
-        right = right.materialize()  # the gate and the join read it once
-        if right.count() <= broadcast_threshold:
-            return broadcast_join(ds=left, small_df=right.to_pandas(),
-                                  on=on_cols, how=how)
-    keys = on_cols
-    if salt > 1:
-        # the right side is replicated once per salt value; the left
-        # side's rows spread over the salts positionally (the salt only
-        # routes rows, the merge result is salt-invariant)
-        keys = on_cols + ["_salt"]
-        left = left.map_batches(
-            lambda b: b.assign(_salt=np.arange(len(b)) % salt),
-            batch_format="pandas",
-        )
-        right = right.map_batches(
-            lambda b: pd.concat(
-                [b.assign(_salt=s) for s in range(salt)], ignore_index=True
-            ),
-            batch_format="pandas",
-        )
+    bucket (``cogroup``); pandas merge runs per bucket."""
+    keys: List[str] = [on] if isinstance(on, str) else list(on)
 
     def merge_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         overlap = (set(l.columns) & set(r.columns)) - set(keys)
@@ -112,9 +69,7 @@ def hash_join(
             l = _widen_ints(l, keys)
         if how in ("left", "outer"):
             r = _widen_ints(r, keys)
-        return l.merge(r, on=keys, how=how).drop(
-            columns=["_salt"], errors="ignore"
-        )
+        return l.merge(r, on=keys, how=how)
 
     return cogroup(left, right, keys, merge_bucket, num_buckets)
 
@@ -158,12 +113,25 @@ def semi_join_filter(ds: rd.Dataset, col: str, keys_ref) -> rd.Dataset:
     return ds.map_batches(fn, batch_format="pandas", batch_size=32768)
 
 
-def anti_join_filter(ds: rd.Dataset, col: str, keys_ref) -> rd.Dataset:
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        keys = ray.get(keys_ref)
-        return batch[~batch[col].isin(keys)]
+# Anti-join gate: a right side of at most this many rows ships as one
+# broadcast key set; a larger one co-partitions with the left side.
+ANTI_JOIN_BROADCAST_MAX = 1_000_000
 
-    return ds.map_batches(fn, batch_format="pandas", batch_size=32768)
+
+def anti_join(left: rd.Dataset, right: rd.Dataset, on: str) -> rd.Dataset:
+    """Keep ``left`` rows whose ``on`` value does not appear in
+    ``right``.  At most ``ANTI_JOIN_BROADCAST_MAX`` right rows: the key
+    set ships via ``ray.put`` and the filter is a map-only ``isin``;
+    above it, ``partitioned_anti_join`` with no driver-side set."""
+    right = right.materialize()  # the gate and the join read it once
+    if right.count() > ANTI_JOIN_BROADCAST_MAX:
+        return partitioned_anti_join(left, right, on, default_buckets())
+    keys_ref = ray.put(set(right.to_pandas()[on].tolist()))
+
+    def fn(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch[~batch[on].isin(ray.get(keys_ref))]
+
+    return left.map_batches(fn, batch_format="pandas", batch_size=32768)
 
 
 def partitioned_anti_join(
@@ -175,7 +143,8 @@ def partitioned_anti_join(
     """Anti join for a LARGE right side: keep left rows whose key does
     not appear in ``right``.  Both sides co-partition by key hash (the
     right side ships only its key columns), and an ``isin`` filter runs
-    per bucket — no driver-side key set, unlike ``anti_join_filter``."""
+    per bucket — no driver-side key set, unlike ``anti_join``'s broadcast
+    path."""
     on_cols: List[str] = [on] if isinstance(on, str) else list(on)
 
     def bucket_fn(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:

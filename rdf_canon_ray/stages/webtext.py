@@ -252,27 +252,30 @@ def _remove_boilerplate_partitioned(
     return bucketed_map_groups(marked, [id_col], reassemble, num_buckets)
 
 
+# Hot-line gate of ``remove_boilerplate``: at most this many frequent
+# lines ship as a broadcast set; more rewrite co-partitioned.
+BOILERPLATE_BROADCAST_MAX = 1_000_000
+
+
 def remove_boilerplate(
     ds: rd.Dataset,
     freq_threshold: int = 5,
     id_col: str = "doc_id",
     text_col: str = "text",
     num_buckets: int = DEFAULT_NUM_BUCKETS,
-    broadcast_threshold: int = 1_000_000,
-    force_partitioned: bool = False,
 ) -> rd.Dataset:
     """Drop every line that appears ≥ ``freq_threshold`` times in the
     corpus, rebuild each document from its surviving lines (original
     order).  Two modes behind a hot-set size gate (the ``dedup_clean``
-    pattern): at or under ``broadcast_threshold`` hot lines the set
-    ships via ``ray.put`` and the rewrite is map-only; above it (or
-    with ``force_partitioned``) the rewrite runs co-partitioned on the
-    line key with no driver-side set anywhere."""
+    pattern): at or under ``BOILERPLATE_BROADCAST_MAX`` hot lines the
+    set ships via ``ray.put`` and the rewrite is map-only; above it the
+    rewrite runs co-partitioned on the line key with no driver-side set
+    anywhere."""
     freq = line_frequencies(ds, text_col, num_buckets)
     hot_ds = freq.filter(
         expr=f"n >= {int(freq_threshold)}"
     ).materialize()
-    if force_partitioned or hot_ds.count() > broadcast_threshold:
+    if hot_ds.count() > BOILERPLATE_BROADCAST_MAX:
         return _remove_boilerplate_partitioned(
             ds, hot_ds, id_col, text_col, num_buckets
         )

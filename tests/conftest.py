@@ -17,6 +17,26 @@ def ray_session():
 
 
 @pytest.fixture
+def spy(monkeypatch):
+    """``spy(module, name)`` wraps ``module.name`` for this test and
+    returns the list each call appends its arguments to, so a test sees
+    which side of a gate ran."""
+
+    def install(module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def mixed_nquads(tmp_path):
     """A small N-Quads file: blank nodes, a literal with a language tag
     and one with a datatype, the default graph and two named graphs, a

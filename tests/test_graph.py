@@ -42,19 +42,23 @@ def test_comention_edges_symmetric_free_and_distinct(ray_session):
     assert len(edges) > 0
 
 
-def test_pagerank_broadcast_matches_partitioned(ray_session):
+def test_pagerank_broadcast_matches_partitioned(ray_session, monkeypatch, spy):
+    calls = spy(graph, "_pagerank_partitioned")
     bc = (
         graph.pagerank(SF, iterations=3)
         .to_pandas()
         .sort_values("entity_iri")
         .reset_index(drop=True)
     )
+    assert calls == []
+    monkeypatch.setattr(graph, "RESIDENT_GRAPH_MAX_NODES", 0)
     part = (
-        graph.pagerank(SF, iterations=3, force_partitioned=True)
+        graph.pagerank(SF, iterations=3)
         .to_pandas()
         .sort_values("entity_iri")
         .reset_index(drop=True)
     )
+    assert len(calls) == 1
     assert bc["entity_iri"].tolist() == part["entity_iri"].tolist()
     # identical math, different float summation order → equal to well
     # below the 6 dp rounding both paths apply
@@ -65,19 +69,23 @@ def test_pagerank_broadcast_matches_partitioned(ray_session):
     assert 0.5 < bc["rank"].mean() < 1.5
 
 
-def test_bfs_broadcast_matches_partitioned(ray_session):
+def test_bfs_broadcast_matches_partitioned(ray_session, monkeypatch, spy):
+    calls = spy(graph, "_bfs_partitioned")
     bc = (
         graph.bfs_depths(SF, max_depth=3)
         .to_pandas()
         .sort_values("entity_iri")
         .reset_index(drop=True)
     )
+    assert calls == []
+    monkeypatch.setattr(graph, "RESIDENT_GRAPH_MAX_NODES", 0)
     part = (
-        graph.bfs_depths(SF, max_depth=3, force_partitioned=True)
+        graph.bfs_depths(SF, max_depth=3)
         .to_pandas()
         .sort_values("entity_iri")
         .reset_index(drop=True)
     )
+    assert len(calls) == 1
     assert bc["entity_iri"].tolist() == part["entity_iri"].tolist()
     assert bc["depth"].tolist() == part["depth"].tolist()
     assert (bc["depth"] == 0).sum() == 1  # exactly one seed
@@ -108,21 +116,26 @@ def test_triangle_counts_vs_set_intersection(ray_session):
     assert (got["clustering"] > 0).all() and (got["clustering"] <= 1).all()
 
 
-def test_triangles_partitioned_matches_broadcast(ray_session):
+def test_triangles_partitioned_matches_broadcast(ray_session, monkeypatch, spy):
     # the 100-TB path (no node-/edge-scale broadcast anywhere) must
     # produce the exact same counts as the broadcast kernel — verified
-    # at sf0.01 per the round-3 brief
+    # at sf0.01 per the round-3 brief, once through each gate alone
     sf = "/root/testdata/sf0.01"
     key = lambda df: (
         df.to_pandas()
         .sort_values("entity_iri")
         .reset_index(drop=True)
     )
+    calls = spy(graph, "_triangles_partitioned")
     bc = key(graph.triangle_counts(sf))
-    part = key(graph.triangle_counts(sf, force_partitioned=True))
-    assert bc["entity_iri"].tolist() == part["entity_iri"].tolist()
-    assert bc["n_triangles"].tolist() == part["n_triangles"].tolist()
-    assert bc["clustering"].tolist() == part["clustering"].tolist()
+    assert calls == []
+    for gate in ("TRIANGLE_NODE_BROADCAST_MAX", "TRIANGLE_EDGE_BROADCAST_MAX"):
+        with monkeypatch.context() as m:
+            m.setattr(graph, gate, 0)
+            part = key(graph.triangle_counts(sf))
+        assert len(calls) == 1, gate
+        calls.clear()
+        pd.testing.assert_frame_equal(bc, part)
 
 
 def test_mix_sources_quotas(ray_session):
@@ -187,7 +200,7 @@ def test_adjacency_store_cold_load_equality(ray_session):
     with open(os.path.join(store, persisted.MANIFEST), "w") as f:
         json.dump(bad, f)
     assert graph._load_resident_graph(
-        store, graph._adjacency_fingerprint(SF), 500_000
+        store, graph._adjacency_fingerprint(SF)
     ) is None
     shutil.rmtree(store, ignore_errors=True)
 

@@ -635,8 +635,8 @@ def test_knn_join_tie_break_on_duplicate_refs(ray_session):
 
 
 def test_hash_join_broadcast_fallback_respects_how(ray_session):
-    """broadcast_threshold must not hijack right/outer joins (per-batch
-    merge would duplicate unmatched right rows)."""
+    """An outer join over several left blocks emits each unmatched
+    right row exactly once (a per-left-batch merge would repeat it)."""
     import ray.data as rd
 
     from rdf_canon_ray.stages.joins import hash_join
@@ -645,10 +645,7 @@ def test_hash_join_broadcast_fallback_respects_how(ray_session):
         pd.DataFrame({"k": [1, 1, 2], "lv": [10, 11, 12]})
     ).repartition(3)
     right = rd.from_pandas(pd.DataFrame({"k": [2, 3], "rv": [20, 30]}))
-    out = hash_join(
-        left, right, on="k", how="outer",
-        num_buckets=4, broadcast_threshold=1000,
-    ).to_pandas()
+    out = hash_join(left, right, on="k", how="outer", num_buckets=4).to_pandas()
     # unmatched right row k=3 appears exactly once despite 3 left blocks
     assert (out["k"] == 3).sum() == 1
     assert len(out) == 4
@@ -698,19 +695,42 @@ def test_pack_sequences_two_level_offsets(ray_session):
     assert whole["doc_id"].max() // 7 >= 10
 
 
-def test_dedup_clean_distributed_drop_path(ray_session):
-    """Forcing the drop-set over the broadcast gate must route through
-    the co-partitioned anti-join and return the identical kept set."""
+def test_dedup_clean_distributed_drop_path(ray_session, monkeypatch):
+    """A drop-set over the anti-join gate must route through the
+    co-partitioned anti-join and return the identical kept set."""
     from rdf_canon_ray.pipelines import corpus
+    from rdf_canon_ray.stages import joins
 
     via_broadcast = sorted(
         corpus.dedup_clean(SF).to_pandas()["doc_id"].tolist()
     )
+    monkeypatch.setattr(joins, "ANTI_JOIN_BROADCAST_MAX", 0)
     via_distributed = sorted(
-        corpus.dedup_clean(SF, broadcast_max=0).to_pandas()["doc_id"].tolist()
+        corpus.dedup_clean(SF).to_pandas()["doc_id"].tolist()
     )
     assert via_broadcast == via_distributed
     assert len(via_broadcast) > 0
+
+
+def test_anti_join_gate_threshold_plus_minus_one(ray_session, monkeypatch, spy):
+    """A drop-set of exactly ``ANTI_JOIN_BROADCAST_MAX`` rows broadcasts;
+    one row more co-partitions; both keep the same ids."""
+    import pyarrow.parquet as pq
+
+    from rdf_canon_ray.pipelines import corpus
+    from rdf_canon_ray.stages import joins
+
+    kept = lambda: sorted(corpus.dedup_clean(SF).to_pandas()["doc_id"])
+    calls = spy(joins, "partitioned_anti_join")
+    at_gate = kept()
+    n_drop = pq.read_metadata(f"{SF}/documents.parquet").num_rows - len(at_gate)
+    assert n_drop > 0
+    monkeypatch.setattr(joins, "ANTI_JOIN_BROADCAST_MAX", n_drop)
+    assert kept() == at_gate
+    assert calls == []
+    monkeypatch.setattr(joins, "ANTI_JOIN_BROADCAST_MAX", n_drop - 1)
+    assert kept() == at_gate
+    assert len(calls) == 1
 
 
 def test_stratified_sample_stable_and_capped(ray_session):
@@ -1736,15 +1756,19 @@ def test_containment_catches_quote_that_jaccard_misses(ray_session):
     assert jac < 0.2
 
 
-def test_global_median_multi_round_narrowing(ray_session):
-    from rdf_canon_ray.pipelines.analytics import global_value_median
+def test_global_median_multi_round_narrowing(ray_session, monkeypatch):
+    # one collect round at the default gate, several at a gate of 10
+    from rdf_canon_ray.pipelines import analytics
 
-    got = global_value_median(SF, collect_threshold=10).to_pandas()
     ev = pd.read_parquet(f"{SF}/events.parquet", columns=["value"])
     v = np.sort(ev["value"].to_numpy(np.float64))
     k = int(np.ceil(0.5 * len(v)))
-    assert got["n"].iloc[0] == len(v)
-    assert got["median"].iloc[0] == round(float(v[k - 1]), 6)
+    one_round = analytics.global_value_median(SF).to_pandas()
+    monkeypatch.setattr(analytics, "MEDIAN_COLLECT_MAX", 10)
+    narrowed = analytics.global_value_median(SF).to_pandas()
+    for got in (one_round, narrowed):
+        assert got["n"].iloc[0] == len(v)
+        assert got["median"].iloc[0] == round(float(v[k - 1]), 6)
 
 
 def test_render_conversations_byte_equal(ray_session):

@@ -490,34 +490,33 @@ def test_cli_canonicalize_out_writes_one_document_per_graph(ray_session, tmp_pat
         assert got == "".join(canonicalize(graphs[g], hash_name) for g in sorted(graphs))
 
 
-def test_partitioned_linker_matches_broadcast(ray_session):
+def test_partitioned_linker_matches_broadcast(ray_session, monkeypatch):
     """Entity-linker dimension gate (VERDICT r04 #3): above
-    LINKER_BROADCAST_MAX (or forced), mention surfaces resolve via
-    co-partitioned hash joins with NO driver dicts — byte-equal canon
-    docs, identical triples and scored links."""
+    LINKER_BROADCAST_MAX, mention surfaces resolve via co-partitioned
+    hash joins with NO driver dicts — byte-equal canon docs, identical
+    triples and scored links on both sides of the threshold."""
     from rdf_canon_ray.pipelines import kg
 
-    a = (
-        kg.canonical_graphs_dataset(SF)
-        .to_pandas()
-        .sort_values("graph_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        kg.canonical_graphs_dataset(SF, force_partitioned_linker=True)
-        .to_pandas()
-        .sort_values("graph_id")
-        .reset_index(drop=True)
-    )
+    def run():
+        canon = (
+            kg.canonical_graphs_dataset(SF)
+            .to_pandas()
+            .sort_values("graph_id")
+            .reset_index(drop=True)
+        )
+        key = lambda d: sorted(map(tuple, d.to_numpy()))
+        links = kg.links_dataset(SF).to_pandas()
+        links["score"] = links["score"].round(6)
+        return canon, key(kg.triples_dataset(SF).to_pandas()), key(links)
+
+    dims = kg._linker_cardinality(SF)
+    monkeypatch.setattr(kg, "LINKER_BROADCAST_MAX", dims)
+    assert not kg._use_partitioned_linker(SF)
+    a, ta, la = run()
+    monkeypatch.setattr(kg, "LINKER_BROADCAST_MAX", dims - 1)
+    assert kg._use_partitioned_linker(SF)
+    b, tb, lb = run()
     assert a["graph_id"].equals(b["graph_id"])
     assert a["canon_nquads"].equals(b["canon_nquads"])
-
-    key = lambda d: sorted(map(tuple, d.to_numpy()))
-    ta = kg.triples_dataset(SF).to_pandas()
-    tb = kg.triples_dataset(SF, force_partitioned_linker=True).to_pandas()
-    assert key(ta) == key(tb)
-    la = kg.links_dataset(SF).to_pandas()
-    lb = kg.links_dataset(SF, force_partitioned_linker=True).to_pandas()
-    la["score"] = la["score"].round(6)
-    lb["score"] = lb["score"].round(6)
-    assert key(la) == key(lb)
+    assert ta == tb
+    assert la == lb

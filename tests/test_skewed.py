@@ -48,9 +48,9 @@ def test_skewed_corpus_canonicalizes(ray_session):
     assert a.equals(b)
 
 
-def test_hash_join_salted_matches_unsalted(ray_session):
-    """A hot key (20k rows on one key) joined through salt=8 must give
-    exactly the unsalted result — salting only routes work."""
+def test_hash_join_hot_key_and_unmatched_left(ray_session):
+    """A hot key (20k rows on one key) joins exactly like a pandas
+    merge, and a left join keeps an unmatched left row once."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -66,53 +66,19 @@ def test_hash_join_salted_matches_unsalted(ray_session):
         }
     )
     right = pd.DataFrame({"k": np.arange(0, 1001), "name": [f"n{i}" for i in range(1001)]})
-    l_ds, r_ds = rd.from_pandas(left), rd.from_pandas(right)
+    r_ds = rd.from_pandas(right)
 
-    plain = (
-        hash_join(l_ds, r_ds, on="k", num_buckets=8)
-        .to_pandas()
-        .sort_values(["k", "v"])
-        .reset_index(drop=True)
-    )
-    salted = (
-        hash_join(l_ds, r_ds, on="k", num_buckets=8, salt=8)
-        .to_pandas()
-        .sort_values(["k", "v"])
-        .reset_index(drop=True)
-    )
-    assert len(plain) == 21000
-    assert salted[["k", "v", "name"]].equals(plain[["k", "v", "name"]])
+    key = lambda d: d[["k", "v", "name"]].sort_values(["k", "v"]).reset_index(drop=True)
+    joined = key(hash_join(rd.from_pandas(left), r_ds, on="k", num_buckets=8).to_pandas())
+    assert len(joined) == 21000
+    assert joined.equals(key(left.merge(right, on="k")))
 
-    # left join keeps unmatched left rows exactly once under salting
     left2 = pd.DataFrame({"k": [0, 0, 9999], "v": [1, 2, 3]})
     lj = hash_join(
-        rd.from_pandas(left2), r_ds, on="k", how="left", salt=4, num_buckets=4
+        rd.from_pandas(left2), r_ds, on="k", how="left", num_buckets=4
     ).to_pandas()
     assert len(lj) == 3
     assert lj[lj["k"] == 9999]["name"].isna().all()
-
-    # replication breaks right/outer semantics → rejected
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="salt"):
-        hash_join(l_ds, r_ds, on="k", how="outer", salt=2)
-
-
-def test_hash_join_broadcast_fallback(ray_session):
-    import pandas as pd
-    import ray.data as rd
-
-    from rdf_canon_ray.stages.joins import hash_join
-
-    left = pd.DataFrame({"k": [1, 2, 3, 4], "v": [10, 20, 30, 40]})
-    right = pd.DataFrame({"k": [2, 4], "w": ["a", "b"]})
-    out = hash_join(
-        rd.from_pandas(left),
-        rd.from_pandas(right),
-        on="k",
-        broadcast_threshold=10,
-    ).to_pandas()
-    assert sorted(out["k"]) == [2, 4]
 
 
 def test_range_join_exact_window(ray_session):

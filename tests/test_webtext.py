@@ -55,19 +55,19 @@ def test_remove_boilerplate_order_and_empty(ray_session):
     assert out["clean_text"][3] == rows["text"][3]
 
 
-def test_remove_boilerplate_partitioned_matches(ray_session):
+def test_remove_boilerplate_partitioned_matches(ray_session, monkeypatch, spy):
     # the above-gate path (no driver-side line set) must match the
     # broadcast rewrite exactly — on the real synthetic web corpus
     ds = rd.from_arrow(webtext.synth_web_table(400))
     key = lambda d: (
         d.to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
+    calls = spy(webtext, "_remove_boilerplate_partitioned")
     bc = key(webtext.remove_boilerplate(ds, freq_threshold=5))
-    part = key(
-        webtext.remove_boilerplate(
-            ds, freq_threshold=5, force_partitioned=True
-        )
-    )
+    assert calls == []
+    monkeypatch.setattr(webtext, "BOILERPLATE_BROADCAST_MAX", 0)
+    part = key(webtext.remove_boilerplate(ds, freq_threshold=5))
+    assert len(calls) == 1
     pd.testing.assert_frame_equal(bc, part)
 
 
